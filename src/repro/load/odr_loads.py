@@ -2,8 +2,11 @@
 
 ODR (and any fixed dimension-order variant) routes each ordered pair over
 exactly one canonical path, so Definition 4 degenerates to *counting the
-pairs whose path crosses each edge*.  The path structure lets us do this
-without materializing any path:
+pairs whose path crosses each edge*.  Two kernels count them.
+
+**Full evaluation** (:func:`dimension_order_edge_loads`,
+:func:`accumulate_pair_loads`) walks every pair without materializing any
+path:
 
 * While dimension ``s`` is being corrected, the walker sits at the mixed
   coordinate ``(q_1, …, q_{s-1}, x, p_{s+1}, …, p_d)`` with ``x`` sweeping
@@ -14,10 +17,30 @@ without materializing any path:
   ``|P|^2`` pair arrays, no Python-level per-pair loop.
 
 This scales to every sweep size the experiments use (e.g. ``k=20, d=3``:
-400 processors, 160 000 pairs) in milliseconds-to-seconds.
+400 processors, 160 000 pairs) in milliseconds-to-seconds, and it is the
+oracle for the incremental kernel below.
+
+**Incremental updates** (:func:`odr_edge_loads_add_delta`,
+:func:`odr_edge_loads_swap_delta`) gather instead of walking.  The minimal
+correction depends only on ``(q - p) mod k``, so a pair ``p → q`` crosses
+exactly the edges of the origin's path to that displacement, translated
+by ``p``.  A per-``(k, d)`` *displacement path table* stores, for all
+``k^d`` displacements, that path's tail offsets and ``2·dim + sign_bit``
+edge codes, padded to ``L = d·⌊k/2⌋`` hops: :math:`k^d \\cdot d \\cdot
+\\lfloor k/2 \\rfloor` entries.  Two index tables of
+:math:`(2k)^d \\cdot (2d+2)` entries fold translated tails back onto the
+torus, so all tables together take about 0.1 MB at :math:`T_{16}^2` and
+3 MB at :math:`T_{16}^3`.  They are built on first use, with the same
+walker and tie-break as the full evaluation, and cached per ``(k, d)``;
+importing the module builds nothing.  A delta is then one gather, one
+lookup and one ``np.bincount``.  Both delta functions take an optional
+leading batch axis, so a search can grow all its point-group variants, or
+price all its sampled swaps, in one call.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -111,9 +134,9 @@ def accumulate_pair_loads(
 ) -> None:
     """Add the dimension-ordered path loads of explicit pairs into ``loads``.
 
-    The workhorse behind :func:`dimension_order_edge_loads` exposed for
-    callers that work with pair subsets — e.g. incremental updates when a
-    single processor moves (see :func:`odr_edge_loads_swap_delta`).
+    The workhorse behind :func:`dimension_order_edge_loads`, exposed for
+    callers that work with pair subsets, and the oracle the incremental
+    kernel (:func:`odr_edge_loads_swap_delta`) is tested against.
 
     Parameters
     ----------
@@ -128,18 +151,31 @@ def accumulate_pair_loads(
     weights:
         Optional ``(n_pairs,)`` per-pair multiplicities.
     scale:
-        Multiplied into every contribution (``-1.0`` subtracts pairs — the
-        incremental-update primitive).
+        Multiplied into every contribution (``-1.0`` subtracts pairs).
     """
-    order = tuple(range(d)) if order is None else tuple(order)
     p = np.atleast_2d(np.asarray(p, dtype=np.int64))
     q = np.atleast_2d(np.asarray(q, dtype=np.int64))
+    for active, node_ids, codes in _walk_hops(k, d, p, q, order):
+        edge_ids = node_ids * (2 * d) + codes
+        if weights is None:
+            np.add.at(loads, edge_ids, scale)
+        else:
+            np.add.at(loads, edge_ids, scale * weights[active])
+
+
+def _walk_hops(k: int, d: int, p: np.ndarray, q: np.ndarray, order=None):
+    """Yield ``(active, node_ids, codes)`` for every hop step of the pair walk.
+
+    ``active`` flags the pairs still moving at this step; for them, in pair
+    order, ``node_ids`` are the hops' tail nodes and ``codes`` their
+    ``2·dim + sign_bit`` (the directed edge is ``node·2d + code``).
+    """
+    order = tuple(range(d)) if order is None else tuple(order)
     strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
     # node id of the walker's position with every coordinate still at p
     base = p @ strides  # (n_pairs,)
 
-    two_d = 2 * d
     for dim in order:
         delta, _tied = minimal_correction_array(p[:, dim], q[:, dim], k)
         hops = np.abs(delta)
@@ -154,14 +190,109 @@ def accumulate_pair_loads(
             if not np.any(active):
                 break
             node_ids = base_wo_dim[active] + x[active] * strides[dim]
-            edge_ids = node_ids * two_d + 2 * dim + sign_bit[active]
-            if weights is None:
-                np.add.at(loads, edge_ids, scale)
-            else:
-                np.add.at(loads, edge_ids, scale * weights[active])
+            yield active, node_ids, 2 * dim + sign_bit[active]
             x[active] = np.mod(x[active] + sign[active], k)
         # dimension fully corrected: walker now sits at q in this dim
         base = base_wo_dim + q[:, dim] * strides[dim]
+
+
+@functools.lru_cache(maxsize=8)
+def _displacement_path_table(k: int, d: int) -> tuple[np.ndarray, ...]:
+    """The gather tables of the incremental kernel for ``T_k^d``.
+
+    Tails are addressed on a *doubled grid* of side ``2k``, where a source
+    plus an offset never wraps, so translating a path is one integer add.
+    Returns ``(paths, grid_strides, fold, edge_of)``:
+
+    * ``paths`` ``(k^d, d·⌊k/2⌋)``: row ``δ`` (a node id) lists the hops of
+      the ODR path ``0 → δ`` as ``tail·(2d+1) + 2·dim + sign_bit``, with
+      ``tail`` the hop's tail offset in doubled-grid units; slots past the
+      path's length hold the padding code ``2d``.
+    * ``grid_strides`` ``(d,)``: doubled-grid strides, ``(2k)^{d-1-i}``.
+    * ``fold`` ``((2k)^d,)``: doubled-grid cell → torus node id (each
+      coordinate mod ``k``); it maps coordinate differences shifted by
+      ``+k`` to displacements.
+    * ``edge_of`` ``((2k)^d·(2d+1),)``: a translated hop → its directed edge
+      id; padding → ``2d·k^d``, one past the last edge.
+
+    The hops come from the same walker and tie-break as
+    :func:`accumulate_pair_loads`, with every source at the origin.
+    """
+    n = k**d
+    two_d = 2 * d
+    side = 2 * k
+    targets = np.stack(
+        np.unravel_index(np.arange(n), (k,) * d), axis=1
+    ).astype(np.int64)
+    grid_strides = np.array([side ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+    paths = np.full((n, d * (k // 2)), two_d, dtype=np.int64)
+    filled = np.zeros(n, dtype=np.int64)
+    for active, node_ids, codes in _walk_hops(
+        k, d, np.zeros_like(targets), targets
+    ):
+        rows = np.flatnonzero(active)
+        # from the origin, a hop's tail node id is its offset's node id
+        tail = targets[node_ids] @ grid_strides
+        paths[rows, filled[rows]] = tail * (two_d + 1) + codes
+        filled[rows] += 1
+    cells = np.stack(
+        np.unravel_index(np.arange(side**d), (side,) * d), axis=1
+    ).astype(np.int64)
+    fold = np.mod(cells, k) @ np.array(
+        [k ** (d - 1 - i) for i in range(d)], dtype=np.int64
+    )
+    edge_of = fold[:, None] * two_d + np.arange(two_d + 1, dtype=np.int64)
+    edge_of[:, two_d] = two_d * n
+    tables = (paths, grid_strides, fold, edge_of.ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _exchange_counts(
+    k: int, d: int, kept: np.ndarray, nodes: np.ndarray
+) -> np.ndarray:
+    """Per-row edge counts of the pairs ``nodes[r] ↔ kept[r]``, both ways.
+
+    ``kept`` is ``(R, m, d)``, ``nodes`` is ``(R, d)``; returns ``(R, 2d·k^d)``
+    integer counts from one path gather and one ``np.bincount``.
+    """
+    paths, grid_strides, fold, edge_of = _displacement_path_table(k, d)
+    rows, m = kept.shape[0], kept.shape[1]
+    num_edges = 2 * d * k**d
+    kept_cell = kept @ grid_strides  # (R, m)
+    node_cell = np.broadcast_to((nodes @ grid_strides)[:, None], (rows, m))
+    shift = k * int(grid_strides.sum())
+    diff = kept_cell - node_cell
+    src = np.concatenate((node_cell, kept_cell), axis=1)  # (R, 2m)
+    disp = fold[np.concatenate((diff + shift, shift - diff), axis=1)]
+    hops = src[:, :, None] * (2 * d + 1) + paths[disp]  # (R, 2m, L)
+    edge_ids = edge_of[hops]
+    # one bin row per batch row, plus one padding bin at each row's end
+    edge_ids += (np.arange(rows, dtype=np.int64) * (num_edges + 1))[:, None, None]
+    counts = np.bincount(edge_ids.ravel(), minlength=rows * (num_edges + 1))
+    return counts.reshape(rows, num_edges + 1)[:, :num_edges]
+
+
+def _delta_rows(torus, loads, kept_coords, *points):
+    """A delta call's arguments as ``(batched, loads, kept, points)`` rows.
+
+    ``loads`` comes back ``(B, E)``, ``kept`` ``(B, m, d)`` and each point
+    ``(B, d)``, with ``B = 1`` for an unbatched call.
+    """
+    d = torus.d
+    loads = np.asarray(loads, dtype=np.float64)
+    batched = loads.ndim == 2
+    kept = np.asarray(kept_coords, dtype=np.int64)
+    if batched:
+        rows = loads.shape[0]
+        kept = kept.reshape(rows, -1, d) if kept.size else kept.reshape(rows, 0, d)
+        points = [np.asarray(c, dtype=np.int64).reshape(rows, d) for c in points]
+    else:
+        loads = loads[None]
+        kept = np.atleast_2d(kept)[None]
+        points = [np.asarray(c, dtype=np.int64).reshape(1, d) for c in points]
+    return batched, loads, kept, points
 
 
 def odr_edge_loads_swap_delta(
@@ -171,7 +302,7 @@ def odr_edge_loads_swap_delta(
     removed_coord,
     added_coord,
 ) -> np.ndarray:
-    """Incremental ODR loads after swapping one processor for a router.
+    """Incremental ODR loads after processor-for-router swaps, by path gather.
 
     Given the complete-exchange ``loads`` of a placement, the coordinates
     of the *unchanged* processors (``kept_coords``, the placement minus the
@@ -182,23 +313,33 @@ def odr_edge_loads_swap_delta(
     * subtract ``removed ↔ kept`` (both directions),
     * add ``added ↔ kept`` (both directions).
 
+    Each pair's edges are gathered from the displacement path table (see
+    the module docstring) and counted with one ``np.bincount``; the result
+    is bit-identical to re-tracing the pairs with
+    :func:`accumulate_pair_loads`.
+
+    Batched form: ``loads`` ``(B, E)``, ``kept_coords`` ``(B, m, d)``,
+    ``removed_coord`` and ``added_coord`` ``(B, d)`` price ``B`` swaps in
+    one call and return ``(B, E)``.  ``loads`` may be a read-only
+    broadcast view when every swap starts from the same placement.
+
     The input ``loads`` array is not modified.
     """
-    k, d = torus.k, torus.d
-    kept = np.atleast_2d(np.asarray(kept_coords, dtype=np.int64))
-    removed = np.asarray(removed_coord, dtype=np.int64).reshape(1, d)
-    added = np.asarray(added_coord, dtype=np.int64).reshape(1, d)
-    out = np.array(loads, dtype=np.float64, copy=True)
-    n = kept.shape[0]
-    if n == 0:
-        return out
-    rem_rep = np.repeat(removed, n, axis=0)
-    add_rep = np.repeat(added, n, axis=0)
-    accumulate_pair_loads(out, k, d, rem_rep, kept, scale=-1.0)
-    accumulate_pair_loads(out, k, d, kept, rem_rep, scale=-1.0)
-    accumulate_pair_loads(out, k, d, add_rep, kept, scale=+1.0)
-    accumulate_pair_loads(out, k, d, kept, add_rep, scale=+1.0)
-    return out
+    batched, loads, kept, (removed, added) = _delta_rows(
+        torus, loads, kept_coords, removed_coord, added_coord
+    )
+    rows = loads.shape[0]
+    if rows == 0 or kept.shape[1] == 0:
+        out = loads.copy()
+    else:
+        counts = _exchange_counts(
+            torus.k,
+            torus.d,
+            np.concatenate((kept, kept)),
+            np.concatenate((added, removed)),
+        )
+        out = loads + (counts[:rows] - counts[rows:])
+    return out if batched else out[0]
 
 
 def odr_edge_loads_add_delta(
@@ -207,29 +348,32 @@ def odr_edge_loads_add_delta(
     kept_coords: np.ndarray,
     added_coord,
 ) -> np.ndarray:
-    """Incremental ODR loads after *adding* one processor to a placement.
+    """Incremental ODR loads after *adding* one processor, by path gather.
 
     The growth primitive behind the branch-and-bound engine
     (:mod:`repro.placements.exact_search`): given the complete-exchange
     ``loads`` of the placement whose processors sit at ``kept_coords``,
     returns the loads after a processor is added at ``added_coord`` in
     :math:`O(|P|)` pair work instead of :math:`O(|P|^2)` — only the
-    ``added ↔ kept`` pairs (both directions) are new.
+    ``added ↔ kept`` pairs (both directions) are new.  Their edges are
+    gathered from the displacement path table and counted with one
+    ``np.bincount``, bit-identical to :func:`accumulate_pair_loads`.
 
     Since every pair contributes non-negative load, growing a placement
     one node at a time makes the partial :math:`E_{max}` monotone
     non-decreasing — the property the search's pruning relies on.
 
+    Batched form: ``loads`` ``(B, E)``, ``kept_coords`` ``(B, m, d)`` and
+    ``added_coord`` ``(B, d)`` grow ``B`` placements (e.g. the point-group
+    variants of one search node) in one call and return ``(B, E)``.
+
     The input ``loads`` array is not modified.
     """
-    k, d = torus.k, torus.d
-    kept = np.atleast_2d(np.asarray(kept_coords, dtype=np.int64))
-    added = np.asarray(added_coord, dtype=np.int64).reshape(1, d)
-    out = np.array(loads, dtype=np.float64, copy=True)
-    n = kept.shape[0]
-    if n == 0:
-        return out
-    add_rep = np.repeat(added, n, axis=0)
-    accumulate_pair_loads(out, k, d, add_rep, kept, scale=+1.0)
-    accumulate_pair_loads(out, k, d, kept, add_rep, scale=+1.0)
-    return out
+    batched, loads, kept, (added,) = _delta_rows(
+        torus, loads, kept_coords, added_coord
+    )
+    if loads.shape[0] == 0 or kept.shape[1] == 0:
+        out = loads.copy()
+    else:
+        out = loads + _exchange_counts(torus.k, torus.d, kept, added)
+    return out if batched else out[0]

@@ -38,7 +38,8 @@ times in the orbit — an integer, because the fibers of
 incrementally along the prefix tree via
 :func:`repro.load.odr_loads.odr_edge_loads_add_delta` —
 :math:`O(|P|)` pair work per grown node instead of :math:`O(|P|^2)` per
-leaf; the engine performs *zero* from-scratch placement evaluations.
+leaf, with all surviving variants grown in one batched call; the engine
+performs *zero* from-scratch placement evaluations.
 Because loads only ever increase as processors are added, the partial
 :math:`E_{max}` of a prefix lower-bounds every completion, and Lemma 1
 gives a second, routing-independent bound
@@ -308,19 +309,15 @@ class _SearchContext:
             raise SearchError(f"prefix {tuple(child)} is not canonical")
         m = len(ids)
         prefix = np.array(ids, dtype=np.int64)
-        new_rows = []
-        for row in range(alive.size):
-            variant = self.variant_ids[alive[row]]
-            new_rows.append(
-                odr_edge_loads_add_delta(
-                    self.torus,
-                    loads[row],
-                    self.coords[variant[prefix]],
-                    self.coords[variant[node]],
-                )
-            )
-            self.counters["pair_updates"] += 2 * m
-        new_loads = np.stack(new_rows) if new_rows else loads[:0]
+        # one batched kernel call grows every surviving variant at once
+        variants = self.variant_ids[alive]
+        new_loads = odr_edge_loads_add_delta(
+            self.torus,
+            loads,
+            self.coords[variants[:, prefix]],
+            self.coords[variants[:, node]],
+        )
+        self.counters["pair_updates"] += 2 * m * int(alive.size)
         if self.mode == "bound" and math.isfinite(self.incumbent):
             emaxes = new_loads.max(axis=1) if new_loads.size else np.empty(0)
             keep = emaxes <= self.incumbent + _TOL

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.load.odr_loads import odr_edge_loads
+from repro.load.odr_loads import odr_edge_loads, odr_edge_loads_swap_delta
 from repro.placements.base import Placement
 from repro.torus.topology import Torus
 from repro.util.rng import resolve_rng
@@ -124,33 +124,41 @@ def local_search_placement(
 
     # maintain the full load vector so each candidate swap costs O(|P|)
     # pair work via the incremental engine instead of O(|P|^2)
-    from repro.load.odr_loads import odr_edge_loads_swap_delta
-
     current_loads = odr_edge_loads(current)
+    coords = torus.all_node_coords()
+    batch = candidates_per_move
 
     accepted = 0
     rejections = 0
     while accepted < max_moves and rejections < 4 * max_moves:
-        # sample candidate swaps and take the best
-        best_cand = None
-        for _ in range(candidates_per_move):
-            out_idx = int(rng.integers(current_ids.size))
-            in_idx = int(rng.integers(routers.size))
-            removed_id = int(current_ids[out_idx])
-            added_id = int(routers[in_idx])
-            kept_ids = np.delete(current_ids, out_idx)
-            cand_loads = odr_edge_loads_swap_delta(
-                torus,
-                current_loads,
-                torus.coords(kept_ids),
-                torus.coord(removed_id),
-                torus.coord(added_id),
-            )
-            emax = float(cand_loads.max())
-            evaluations += 1
-            if best_cand is None or emax < best_cand[0]:
-                best_cand = (emax, cand_loads, out_idx, in_idx, added_id)
-        emax, cand_loads, out_idx, in_idx, added_id = best_cand
+        # sample candidate swaps in the same draw order as pricing them one
+        # at a time, price all of them in one batched kernel call
+        draws = np.array(
+            [
+                (rng.integers(current_ids.size), rng.integers(routers.size))
+                for _ in range(batch)
+            ],
+            dtype=np.int64,
+        )
+        out_idx_all, in_idx_all = draws[:, 0], draws[:, 1]
+        keep = np.ones((batch, current_ids.size), dtype=bool)
+        keep[np.arange(batch), out_idx_all] = False
+        kept_all = np.broadcast_to(current_ids, keep.shape)[keep]
+        cand_loads_all = odr_edge_loads_swap_delta(
+            torus,
+            np.broadcast_to(current_loads, (batch, current_loads.size)),
+            coords[kept_all].reshape(batch, current_ids.size - 1, torus.d),
+            coords[current_ids[out_idx_all]],
+            coords[routers[in_idx_all]],
+        )
+        emaxes = cand_loads_all.max(axis=1)
+        evaluations += batch
+        # the first minimum, as a strict-< scan over the candidates picks
+        pick = int(np.argmin(emaxes))
+        emax = float(emaxes[pick])
+        cand_loads = cand_loads_all[pick]
+        out_idx = int(out_idx_all[pick])
+        added_id = int(routers[in_idx_all[pick]])
         delta = emax - current_emax
         accept = delta < 0 or (
             temperature > 0

@@ -1,5 +1,6 @@
 """Unit tests for the symmetry-reduced exact search engine."""
 
+import dataclasses
 import math
 
 import pytest
@@ -136,6 +137,26 @@ class TestCounters:
         counters = result.counters
         assert counters.subtrees_pruned_emax + counters.variants_dropped > 0
         assert counters.leaf_orbits < 33  # full mode visits all 33 orbits
+
+    def test_t5_bound_counters_pinned(self):
+        # pinned work counts: growing all point-group variants of a node
+        # in one kernel call must leave pruning order and pair accounting
+        # exactly as when the variants were grown one at a time
+        result = exact_global_minimum(Torus(5, 2), 5)
+        assert dataclasses.asdict(result.counters) == {
+            "canonicity_checks": 641,
+            "canonical_nodes": 158,
+            "leaf_orbits": 15,
+            "variant_evaluations": 30,
+            "pair_updates": 1960,
+            "full_evaluations": 0,
+            "subtrees_pruned_emax": 84,
+            "subtrees_pruned_separator": 0,
+            "variants_dropped": 168,
+        }
+        assert result.minimum_emax == 2.0
+        assert result.num_optimal == 1545
+        assert result.example_optimal.node_ids.tolist() == [0, 1, 5, 6, 18]
 
 
 class TestParallel:

@@ -75,3 +75,34 @@ class TestLocalSearch:
             local_search_placement(start, max_moves=-1)
         with pytest.raises(InvalidParameterError):
             local_search_placement(start, candidates_per_move=0)
+
+
+class TestPinnedTrajectories:
+    """Fixed-seed runs pinned to the values of one-swap-at-a-time pricing.
+
+    Candidates are priced in one batched kernel call; the RNG draw order,
+    the first-minimum tie-break and the evaluation count must not move.
+    """
+
+    def test_descent_t8(self):
+        start = random_placement(Torus(8, 2), 8, seed=3)
+        res = local_search_placement(
+            start, max_moves=25, candidates_per_move=12, seed=11
+        )
+        assert res.best.node_ids.tolist() == [4, 10, 14, 37, 39, 46, 49, 58]
+        assert res.trajectory == (8.0, 6.0, 5.0)
+        assert res.evaluations == 1225
+
+    def test_annealing_t8(self):
+        # the Metropolis draw interleaves with the candidate draws
+        start = random_placement(Torus(8, 2), 8, seed=3)
+        res = local_search_placement(
+            start, max_moves=25, candidates_per_move=12, temperature=0.5,
+            seed=11,
+        )
+        assert res.best.node_ids.tolist() == [10, 14, 23, 28, 37, 42, 49, 56]
+        assert res.trajectory == (
+            8.0, 6.0, 6.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 4.0, 4.0, 5.0,
+            5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 6.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0,
+        )
+        assert res.evaluations == 397
