@@ -121,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="inject N random link failures and route around them",
     )
+    _add_obs_args(p_sim)
 
     p_sweep = sub.add_parser(
         "sweep", help="sweep k and report E_max scaling for a family"
@@ -703,33 +704,34 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.network import SimNetwork
     from repro.sim.workloads import build_packets, complete_exchange_packets
 
-    design = design_placement(args.k, args.d, t=args.t, routing=args.routing)
-    torus = design.torus
-    placement = design.placement
-    routing = design.routing
+    with _obs_context(args):
+        design = design_placement(args.k, args.d, t=args.t, routing=args.routing)
+        torus = design.torus
+        placement = design.placement
+        routing = design.routing
 
-    if args.fail_links:
-        failures = random_link_failures(torus, args.fail_links, seed=args.seed)
-        masked = FaultMaskedRouting(routing, failures)
-        coords = placement.coords()
-        pairs = [
-            (i, j)
-            for i in range(len(placement))
-            for j in range(len(placement))
-            if i != j and masked.is_connected(torus, coords[i], coords[j])
-        ]
-        lost = placement.ordered_pairs_count() - len(pairs)
-        packets = build_packets(placement, masked, pairs, seed=args.seed)
-        net = SimNetwork(torus, failed_edge_ids=failures)
-        print(f"injected {args.fail_links} link failures; "
-              f"{lost} pairs unreachable under {routing.name}")
-    else:
-        packets = complete_exchange_packets(
-            placement, routing, seed=args.seed, rounds=args.rounds
-        )
-        net = SimNetwork(torus)
+        if args.fail_links:
+            failures = random_link_failures(torus, args.fail_links, seed=args.seed)
+            masked = FaultMaskedRouting(routing, failures)
+            coords = placement.coords()
+            pairs = [
+                (i, j)
+                for i in range(len(placement))
+                for j in range(len(placement))
+                if i != j and masked.is_connected(torus, coords[i], coords[j])
+            ]
+            lost = placement.ordered_pairs_count() - len(pairs)
+            packets = build_packets(placement, masked, pairs, seed=args.seed)
+            net = SimNetwork(torus, failed_edge_ids=failures)
+            print(f"injected {args.fail_links} link failures; "
+                  f"{lost} pairs unreachable under {routing.name}")
+        else:
+            packets = complete_exchange_packets(
+                placement, routing, seed=args.seed, rounds=args.rounds
+            )
+            net = SimNetwork(torus)
 
-    result = CycleEngine(net).run(packets)
+        result = CycleEngine(net).run(packets)
     summary = summarize_link_counts(result.link_counts)
     print(f"packets delivered : {result.delivered}")
     print(f"completion        : {result.cycles} cycles")

@@ -13,10 +13,18 @@ The per-link traversal counters this produces are the simulator's estimate
 of Definition 4's load; for deterministic routing (ODR) they equal the
 analytic loads exactly, for UDR they match in expectation (EXP-12 checks
 both).
+
+Per-hop numpy work stays out of the cycle loop: link liveness is checked
+once over all packets' concatenated edge ids before the first cycle, the
+loop moves packet indices through plain-Python FIFOs with each packet's
+hop index in a local list, and the traversal counters are added with one
+``np.bincount`` when the run ends (or aborts).  Every :class:`Packet`'s
+``hop``/``delivered_cycle`` is written back at the same point.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -110,35 +118,56 @@ class CycleEngine:
     ) -> SimulationResult:
         traced = tracer.enabled
         contention = tracer.metrics.histogram("sim.contention")
-        for p in packets:
-            if not net.check_path_alive(p.edge_ids):
-                raise SimulationError(
-                    f"packet {p.packet_id} routed over a failed link; "
-                    "use FaultMaskedRouting when building the workload"
-                )
-            p.hop = 0
-            p.delivered_cycle = None
+        paths = [p.edge_ids for p in packets]
+        lengths = [len(path) for path in paths]
+        hop_edges = np.fromiter(
+            itertools.chain.from_iterable(paths),
+            dtype=np.int64,
+            count=sum(lengths),
+        )
+        alive = net.alive[hop_edges]
+        if not alive.all():
+            first_dead = int(np.argmin(alive))
+            culprit = packets[
+                int(np.searchsorted(np.cumsum(lengths), first_dead, side="right"))
+            ]
+            raise SimulationError(
+                f"packet {culprit.packet_id} routed over a failed link; "
+                "use FaultMaskedRouting when building the workload"
+            )
 
+        # queues and the release schedule hold packet indices; each
+        # packet's progress lives in `hops`/`done` until the write-back
+        total = len(packets)
+        hops = [0] * total
+        done: list[int | None] = [None] * total
         # release schedule: cycle -> packets entering their first queue
-        pending: dict[int, list[Packet]] = {}
+        pending: dict[int, list[int]] = {}
         zero_hop = 0
-        for p in packets:
-            if p.path_length == 0:
+        for i, p in enumerate(packets):
+            if lengths[i] == 0:
                 # src == dst message: delivered instantly, no link used
-                p.delivered_cycle = p.release_cycle
+                done[i] = p.release_cycle
                 zero_hop += 1
                 continue
-            pending.setdefault(p.release_cycle, []).append(p)
+            pending.setdefault(p.release_cycle, []).append(i)
 
-        queues: dict[int, deque[Packet]] = {}
+        queues: dict[int, deque[int]] = {}
         max_queue = 0
         delivered = zero_hop
-        total = len(packets)
         cycle = 0
         last_delivery = 0
 
         while delivered < total:
             if cycle > self.max_cycles:
+                # counters and packets keep the hops made before the abort
+                made = np.fromiter(
+                    itertools.chain.from_iterable(
+                        path[:hop] for path, hop in zip(paths, hops)
+                    ),
+                    dtype=np.int64,
+                )
+                _write_back(packets, hops, done, net, made)
                 raise SimulationError(
                     f"exceeded max_cycles={self.max_cycles} with "
                     f"{total - delivered} packets in flight"
@@ -153,9 +182,9 @@ class CycleEngine:
             if cycle_span is not None:
                 cycle_span.__enter__()
             # arrivals scheduled for this cycle
-            for p in pending.pop(cycle, ()):  # packets join queues
-                q = queues.setdefault(p.edge_ids[p.hop], deque())
-                q.append(p)
+            for i in pending.pop(cycle, ()):  # packets join queues
+                q = queues.setdefault(paths[i][hops[i]], deque())
+                q.append(i)
                 if len(q) > max_queue:
                     max_queue = len(q)
                 if traced:
@@ -165,23 +194,24 @@ class CycleEngine:
             served = 0
             for edge_id in list(queues):
                 q = queues[edge_id]
-                p = q.popleft()
+                i = q.popleft()
                 if not q:
                     del queues[edge_id]
-                net.record_traversal(edge_id)
                 served += 1
-                p.hop += 1
-                if p.hop == p.path_length:
-                    p.delivered_cycle = cycle + 1
+                hop = hops[i] + 1
+                hops[i] = hop
+                if hop == lengths[i]:
+                    done[i] = cycle + 1
                     delivered += 1
                     last_delivery = cycle + 1
                 else:
-                    pending.setdefault(cycle + 1, []).append(p)
+                    pending.setdefault(cycle + 1, []).append(i)
             if cycle_span is not None:
                 cycle_span.annotate(served=served)
                 cycle_span.__exit__(None, None, None)
             cycle += 1
 
+        _write_back(packets, hops, done, net, hop_edges)
         latencies = np.array(
             [p.latency for p in packets], dtype=np.int64
         ) if packets else np.empty(0, dtype=np.int64)
@@ -192,3 +222,12 @@ class CycleEngine:
             max_queue_length=max_queue,
             delivered=delivered,
         )
+
+
+def _write_back(packets, hops, done, net, traversed: np.ndarray) -> None:
+    """Store each packet's progress on it and count the ``traversed``
+    edge ids into ``net.link_counts``."""
+    for p, hop, at in zip(packets, hops, done):
+        p.hop = hop
+        p.delivered_cycle = at
+    net.link_counts += np.bincount(traversed, minlength=net.link_counts.size)

@@ -77,5 +77,5 @@ def compare_sim_to_analytic(
         sim_emax=float(normalized.max(initial=0.0)),
         analytic_emax=float(analytic.max(initial=0.0)),
         rounds=rounds,
-        exact_match=bool(np.allclose(normalized, analytic)),
+        exact_match=bool(np.array_equal(normalized, analytic)),
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import compute_loads
+from repro.load.engine import LoadEngine
 from repro.load.udr_loads import udr_edge_loads
 from repro.placements.fully import fully_populated_placement
 from repro.placements.linear import linear_placement
@@ -34,6 +35,17 @@ class TestSimMatchesAnalysis:
             placement, routing, compute_loads(placement, routing), seed=1
         )
         assert rep.exact_match
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_odr_counts_equal_loads_on_3d_linear(self, k):
+        # Definition 4's E(l) reproduced exactly by moving traffic
+        placement = linear_placement(Torus(k, 3))
+        routing = OrderedDimensionalRouting(3)
+        packets = complete_exchange_packets(placement, routing, seed=0)
+        result = CycleEngine(SimNetwork(placement.torus)).run(packets)
+        assert result.delivered == placement.ordered_pairs_count()
+        loads = LoadEngine().edge_loads(placement, routing)
+        assert np.array_equal(result.link_counts, loads)
 
     def test_udr_statistical(self):
         placement = linear_placement(Torus(4, 2))
