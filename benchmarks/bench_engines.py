@@ -51,16 +51,6 @@ def test_displacement_loads(benchmark, k, d):
     assert loads.max() > 0
 
 
-@pytest.mark.benchmark(group="engine-parallel")
-@pytest.mark.parametrize("k,d,jobs", [(16, 2, 2), (12, 3, 4)])
-def test_parallel_loads(benchmark, k, d, jobs):
-    placement = linear_placement(Torus(k, d))
-    routing = OrderedDimensionalRouting(d)
-    engine = LoadEngine("parallel", jobs=jobs, chunk_pairs=1024)
-    loads = benchmark(engine.edge_loads, placement, routing)
-    assert np.abs(loads - odr_edge_loads(placement)).max() <= 1e-9
-
-
 @pytest.mark.benchmark(group="engine-displacement")
 def test_displacement_cache_speedup(benchmark):
     """The ISSUE-1 acceptance check: displacement-cache >= 5x the oracle.

@@ -6,19 +6,24 @@ classical spectral partitioning heuristic adapted to Definition 8's
 "balance the *processors*, not the nodes" constraint.  The experiments use
 it to show the paper's explicit cuts are competitive with (and on uniform
 placements as good as) generic machinery.
+
+scipy is imported inside the functions that need it, so importing the
+package does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.bisection.separator import separator_edges
 from repro.placements.base import Placement
 from repro.util.rng import resolve_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["SpectralBisection", "spectral_bisection"]
 
@@ -42,7 +47,9 @@ class SpectralBisection:
         return abs(self.processors_a - self.processors_b) <= 1
 
 
-def _laplacian(placement: Placement) -> sp.csr_matrix:
+def _laplacian(placement: Placement) -> "sp.csr_matrix":
+    import scipy.sparse as sp
+
     torus = placement.torus
     n = torus.num_nodes
     ei = torus.edges
@@ -68,6 +75,8 @@ def spectral_bisection(placement: Placement, seed: int = 0) -> SpectralBisection
     Ties in the Fiedler coordinates (the torus is highly symmetric) are
     broken by node id, keeping the result deterministic.
     """
+    import scipy.sparse.linalg as spla
+
     torus = placement.torus
     n = torus.num_nodes
     lap = _laplacian(placement)

@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro design    --k 8 --d 3 --t 1 --routing odr
     python -m repro analyze   --k 8 --d 3 --t 2 --routing udr
-    python -m repro analyze   --k 16 --d 2 --engine parallel --jobs 4
+    python -m repro analyze   --k 16 --d 2 --engine fft
     python -m repro experiments --quick            # run the full suite
     python -m repro experiments --only EXP-7
     python -m repro figure1
@@ -15,7 +15,7 @@ Usage (after ``pip install -e .``)::
     python -m repro certify   --k 6 --d 2 --jobs 4 --checkpoint run.jsonl
     python -m repro certify   --k 6 --d 2 --jobs 4 --checkpoint run.jsonl --resume
     python -m repro experiments --checkpoint suite.jsonl --resume
-    python -m repro analyze   --k 8 --d 2 --jobs 4 --retries 3 --task-timeout 300
+    python -m repro certify   --k 5 --d 2 --jobs 4 --retries 3 --task-timeout 300
     python -m repro certify   --k 5 --d 2 --trace out.jsonl --progress
     python -m repro trace summarize out.jsonl
     python -m repro trace critical-path out.jsonl
@@ -28,14 +28,16 @@ Usage (after ``pip install -e .``)::
     python -m repro --quiet analyze --k 8 --d 2
 
 Every subcommand prints plain text (markdown-compatible tables) to stdout
-and exits non-zero if a reproduction check fails.  Long-running
-subcommands accept resilience flags (``--retries``, ``--task-timeout``,
-``--checkpoint``/``--resume``) and deterministic fault injection
-(``--chaos-seed``) wired through :mod:`repro.exec`, plus observability
-flags (``--trace``, ``--profile``/``--profile-out``) wired through
-:mod:`repro.obs`.  Diagnostics go to stderr via :mod:`repro.obs.console`;
-the top-level ``--quiet`` silences everything but errors, keeping
-machine-parsed stdout clean.
+and exits non-zero if a reproduction check fails.  ``certify``, the one
+subcommand that fans work out over processes, accepts resilience flags
+(``--retries``, ``--task-timeout``) and deterministic fault injection
+(``--chaos-seed``) wired through :mod:`repro.exec`; ``certify`` and
+``experiments`` restart with ``--checkpoint``/``--resume``.  Long-running
+subcommands accept observability flags (``--trace``,
+``--profile``/``--profile-out``) wired through :mod:`repro.obs`.
+Diagnostics go to stderr via :mod:`repro.obs.console`; the top-level
+``--quiet`` silences everything but errors, keeping machine-parsed
+stdout clean.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_torus_args(p_analyze)
     _add_engine_args(p_analyze)
-    _add_exec_args(p_analyze)
     _add_obs_args(p_analyze)
     p_analyze.add_argument(
         "--markdown",
@@ -87,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiments", help="run the reproduction suite")
     _add_engine_args(p_exp)
-    _add_exec_args(p_exp)
     _add_checkpoint_args(p_exp)
     _add_obs_args(p_exp)
     p_exp.add_argument(
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--routing", choices=["odr", "udr"], default="odr")
     _add_engine_args(p_sweep)
-    _add_exec_args(p_sweep)
     _add_obs_args(p_sweep)
 
     p_certify = sub.add_parser(
@@ -341,19 +340,9 @@ def _add_batch_args(parser: argparse.ArgumentParser) -> None:
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=["auto", "reference", "vectorized", "fft", "displacement", "parallel"],
+        choices=["auto", "reference", "vectorized", "fft", "displacement"],
         default="auto",
         help="load-computation backend (default auto)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for the parallel engine (default: all "
-            "cores); implies --engine parallel when --engine is auto"
-        ),
     )
     _add_batch_args(parser)
 
@@ -378,18 +367,15 @@ def _batch_context(args: argparse.Namespace):
 
 
 def _engine_context(args: argparse.Namespace):
-    """The default-engine context for a subcommand's --engine/--jobs flags."""
+    """The default-engine context for a subcommand's --engine flag."""
     from contextlib import ExitStack
 
-    from repro.load.engine import LoadEngine, using_engine
+    from repro.load.engine import using_engine
 
     name = getattr(args, "engine", "auto")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and name == "auto":
-        name = "parallel"
     stack = ExitStack()
     if name != "auto":
-        stack.enter_context(using_engine(LoadEngine(name, jobs=jobs)))
+        stack.enter_context(using_engine(name))
     stack.enter_context(_batch_context(args))
     return stack
 
@@ -637,7 +623,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.designer import design_placement
 
     design = design_placement(args.k, args.d, t=args.t, routing=args.routing)
-    with _obs_context(args), _engine_context(args), _exec_context(args):
+    with _obs_context(args), _engine_context(args):
         report = analyze(design.placement, design.routing)
     if getattr(args, "markdown", False):
         from repro.core.report_md import analysis_report_md
@@ -668,11 +654,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import render_results
 
     if args.only:
-        with _obs_context(args), _engine_context(args), _exec_context(args):
+        with _obs_context(args), _engine_context(args):
             result = get_experiment(args.only).run(quick=args.quick)
         print(result.render())
         return 0 if result.passed else 1
-    with _obs_context(args), _engine_context(args), _exec_context(args):
+    with _obs_context(args), _engine_context(args):
         results = run_all(
             quick=args.quick,
             checkpoint=args.checkpoint,
@@ -756,7 +742,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.routing == "odr"
         else lambda d: UnorderedDimensionalRouting()
     )
-    with _obs_context(args), _engine_context(args), _exec_context(args):
+    with _obs_context(args), _engine_context(args):
         rows = scaling_rows(family, routing_factory, args.d, ks)
     table = Table(["k", "|P|", "E_max", "E_max/|P|"],
                   title=f"{args.family} + {args.routing.upper()} on d={args.d}")

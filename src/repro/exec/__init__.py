@@ -1,9 +1,9 @@
 """Resilient execution layer: retries, deadlines, checkpoint/resume.
 
-Every process-pool fan-out in the package (the parallel load backend, the
-brute-force placement catalog, the exact-search subtree shards) goes
-through this subsystem instead of constructing pools directly (lint rule
-RL009 enforces the facade).  The layer turns a fragile
+Every process-pool fan-out in the package (the brute-force placement
+catalog and the exact-search subtree shards) goes through this subsystem
+instead of constructing pools directly (lint rule RL009 enforces the
+facade).  The layer turns a fragile
 ``ProcessPoolExecutor`` into a production-shaped executor:
 
 * :class:`ResilientExecutor` — bounded retries with deterministic
@@ -11,7 +11,8 @@ RL009 enforces the facade).  The layer turns a fragile
   rebuild after worker crashes, and graceful degradation to in-process
   serial execution once a task's retry budget is spent;
 * :class:`ExecPolicy` / :func:`using_exec_policy` — ambient configuration
-  (the CLI's ``--retries``/``--task-timeout``/``--chaos-seed`` flags);
+  (``repro certify``'s ``--retries``/``--task-timeout``/``--chaos-seed``
+  flags);
 * :class:`CheckpointJournal` — an append-only JSONL journal of completed
   task ids and partial accumulators, so ``repro certify --resume`` and
   ``repro experiments --resume`` restart long runs after a crash;

@@ -5,10 +5,9 @@ placement under a routing algorithm — evaluated at very different scales:
 tiny oracle cross-checks, ``k``-sweeps of closed-form kernels, and bulk
 :math:`|P|^2` pair accounting for the large tori the ROADMAP targets.
 This subpackage gives that primitive one facade
-(:class:`~repro.load.engine.facade.LoadEngine`) over five interchangeable
-backends (``reference``, ``vectorized``, ``fft``, ``displacement``,
-``parallel``), all verified to agree with the reference oracle to
-``1e-9``.
+(:class:`~repro.load.engine.facade.LoadEngine`) over four interchangeable
+backends (``reference``, ``vectorized``, ``fft``, ``displacement``),
+all verified to agree with the reference oracle to ``1e-9``.
 
 The core machinery is the displacement-class path cache
 (:mod:`repro.load.engine.displacement`): :math:`T_k^d` is
@@ -19,8 +18,7 @@ enumeration.  The ``fft`` backend (:mod:`repro.load.engine.fft`) pushes
 that symmetry to its limit: loads are a group convolution of
 per-displacement source fields with the path-usage templates, evaluated
 for every edge at once by ``numpy.fft.rfftn`` with an exact integer
-snap-back.  The ``parallel`` backend shards the pair matrix over a
-process pool with one template cache per worker.
+snap-back.
 """
 
 from repro.load.engine.base import LoadBackend, validate_pair_weights
@@ -45,7 +43,6 @@ from repro.load.engine.facade import (
     set_default_engine,
     using_engine,
 )
-from repro.load.engine.parallel import ParallelBackend, parallel_edge_loads
 from repro.load.engine.reference import ReferenceBackend
 from repro.load.engine.vectorized import VectorizedBackend
 
@@ -56,13 +53,11 @@ __all__ = [
     "VectorizedBackend",
     "FFTBackend",
     "DisplacementBackend",
-    "ParallelBackend",
     "DisplacementPathCache",
     "PathTemplate",
     "displacement_edge_loads",
     "fft_edge_loads",
     "fft_edge_loads_many",
-    "parallel_edge_loads",
     "accumulate_displacement_loads",
     "validate_pair_weights",
     "available_backends",

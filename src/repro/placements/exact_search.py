@@ -49,8 +49,8 @@ the incumbent is pruned — exact for the minimum and ``num_optimal``
 (achievers are never pruned), while the full histogram is only produced
 in ``full`` mode, which disables pruning.
 
-Subtree roots can be sharded over a process pool (per-worker group
-tables, the :mod:`repro.load.engine.parallel` pattern); per-worker
+Subtree roots can be sharded over a process pool (group tables built
+once per worker by the pool initializer); per-worker
 incumbents keep the search exact without cross-process communication.
 The fan-out runs through :class:`repro.exec.ResilientExecutor`, so worker
 crashes and hangs are retried (and, past the retry budget, recomputed

@@ -3,13 +3,18 @@
 These conversions are deliberately kept out of the hot paths — they exist
 for cross-validation (shortest paths vs Lee distance, connectivity under
 faults) and for users who want to hand the torus to generic graph tooling.
+networkx is imported inside the export functions, so importing the
+package does not pay for it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.torus.topology import Torus
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "to_networkx",
@@ -33,6 +38,8 @@ def to_networkx(torus: Torus, removed_edges=None) -> "nx.DiGraph":
     ``+`` link's.  Fault experiments on ``k == 2`` should therefore use the
     dense edge-id machinery directly rather than the networkx view.
     """
+    import networkx as nx
+
     removed = set(int(e) for e in removed_edges) if removed_edges is not None else set()
     g = nx.DiGraph(k=torus.k, d=torus.d)
     g.add_nodes_from(range(torus.num_nodes))

@@ -5,9 +5,9 @@ The contract under test is the contrapositive documented in
 workers, retries re-roll the schedule, and the serial fallback is always
 fault-free — so a run surviving injected crashes and hangs must produce
 *exactly* the fault-free answer, not an approximation of it.  These
-drills exercise every wired call site: the parallel load engine, the
-exact-search certifier, and the catalog sweep, plus mid-run kill +
-resume through the checkpoint journal.
+drills exercise every wired call site: the exact-search certifier and
+the catalog sweep, plus mid-run kill + resume through the checkpoint
+journal.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from repro.exec import (
     recent_reports,
     using_exec_policy,
 )
-from repro.load.engine import LoadEngine
 from repro.load.odr_loads import odr_edge_loads
 from repro.placements.catalog import global_minimum_emax
 from repro.placements.exact_search import exact_global_minimum
 from repro.placements.linear import linear_placement
-from repro.routing.odr import OrderedDimensionalRouting
 from repro.torus.topology import Torus
 
 #: the ISSUE acceptance drill: ~20% of worker executions crash.
@@ -61,37 +59,6 @@ def _certify_key(result):
     )
 
 
-class TestParallelEngineUnderChaos:
-    def test_crash_chaos_is_bit_identical_on_t8_2(self):
-        torus = Torus(8, 2)
-        placement = linear_placement(torus)
-        routing = OrderedDimensionalRouting(torus.d)
-        baseline = LoadEngine("parallel", jobs=1).edge_loads(
-            placement, routing
-        )
-        with using_exec_policy(CRASHY):
-            chaotic = LoadEngine("parallel", jobs=2).edge_loads(
-                placement, routing
-            )
-        assert np.array_equal(baseline, chaotic)
-
-    def test_hang_chaos_is_bit_identical_on_t8_2(self):
-        torus = Torus(8, 2)
-        placement = linear_placement(torus)
-        routing = OrderedDimensionalRouting(torus.d)
-        baseline = LoadEngine("parallel", jobs=1).edge_loads(
-            placement, routing
-        )
-        clear_reports()
-        with using_exec_policy(HANGY):
-            chaotic = LoadEngine("parallel", jobs=2).edge_loads(
-                placement, routing
-            )
-        assert np.array_equal(baseline, chaotic)
-        report = recent_reports()[-1]
-        assert report.label.startswith("parallel-loads")
-
-
 class TestCertifyUnderChaos:
     def test_crash_chaos_is_bit_identical_on_t5_2(self):
         torus = Torus(5, 2)
@@ -114,18 +81,34 @@ class TestCertifyUnderChaos:
         assert chaotic.emax_histogram == serial.emax_histogram
 
 
+def _assert_catalog_equal(chaotic, serial):
+    assert chaotic.minimum_emax == serial.minimum_emax
+    assert chaotic.num_optimal == serial.num_optimal
+    assert chaotic.emax_histogram == serial.emax_histogram
+    assert np.array_equal(
+        chaotic.example_optimal.coords(), serial.example_optimal.coords()
+    )
+
+
 class TestCatalogUnderChaos:
     def test_catalog_sweep_is_bit_identical_on_t4_2(self):
         torus = Torus(4, 2)
         serial = global_minimum_emax(torus, 4)
         with using_exec_policy(CRASHY):
             chaotic = global_minimum_emax(torus, 4, processes=2)
-        assert chaotic.minimum_emax == serial.minimum_emax
-        assert chaotic.num_optimal == serial.num_optimal
-        assert chaotic.emax_histogram == serial.emax_histogram
-        assert np.array_equal(
-            chaotic.example_optimal.coords(), serial.example_optimal.coords()
-        )
+        _assert_catalog_equal(chaotic, serial)
+
+    def test_catalog_hang_chaos_is_bit_identical_on_t4_2(self):
+        torus = Torus(4, 2)
+        serial = global_minimum_emax(torus, 4)
+        clear_reports()
+        with using_exec_policy(HANGY):
+            chaotic = global_minimum_emax(torus, 4, processes=2)
+        _assert_catalog_equal(chaotic, serial)
+        # the drill must actually have reaped hung workers
+        report = recent_reports()[-1]
+        assert report.label.startswith("catalog")
+        assert report.timeouts > 0
 
     def test_catalog_checkpoint_resume_matches(self, tmp_path):
         torus = Torus(4, 2)
@@ -219,13 +202,9 @@ class TestCertifyKillResume:
 
 
 class TestWrappedErrors:
-    def test_engine_failure_names_backend_and_workers(self):
-        from repro.errors import LoadError
-        from repro.load.engine.parallel import parallel_edge_loads
+    def test_catalog_failure_names_backend_and_workers(self):
+        from repro.errors import SearchError
 
-        torus = Torus(8, 2)
-        placement = linear_placement(torus)
-        routing = OrderedDimensionalRouting(torus.d)
         exhausted = ExecPolicy(
             retries=0,
             backoff_base=0.001,
@@ -234,8 +213,8 @@ class TestWrappedErrors:
             chaos=ChaosPolicy(seed=7, crash_fraction=1.0),
         )
         with using_exec_policy(exhausted):
-            with pytest.raises(LoadError, match=r"backend 'parallel'.*workers"):
-                parallel_edge_loads(placement, routing, jobs=2)
+            with pytest.raises(SearchError, match=r"backend 'catalog'.*workers"):
+                global_minimum_emax(Torus(4, 2), 4, processes=2)
 
     def test_certify_failure_names_roots_and_workers(self):
         from repro.errors import SearchError

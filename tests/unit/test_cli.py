@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,20 +24,35 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["analyze", "--k", "4", "--d", "2"])
         assert args.t == 1 and args.routing == "odr"
-        assert args.engine == "auto" and args.jobs is None
+        assert args.engine == "auto"
 
     def test_engine_args(self):
         args = build_parser().parse_args(
-            ["analyze", "--k", "4", "--d", "2", "--engine", "parallel",
-             "--jobs", "2"]
+            ["analyze", "--k", "4", "--d", "2", "--engine", "fft"]
         )
-        assert (args.engine, args.jobs) == ("parallel", 2)
+        assert args.engine == "fft"
 
     def test_engine_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["analyze", "--k", "4", "--d", "2", "--engine", "bogus"]
-            )
+        for engine in ("bogus", "parallel"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["analyze", "--k", "4", "--d", "2", "--engine", engine]
+                )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--k", "4", "--d", "2", "--jobs", "2"],
+            ["sweep", "--d", "2", "--ks", "4,6", "--retries", "3"],
+        ],
+        ids=["analyze-jobs", "sweep-retries"],
+    )
+    def test_load_commands_reject_fanout_flags(self, argv):
+        # only certify fans out over processes; the load commands have
+        # no --jobs or resilience flags
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestCommands:
@@ -47,11 +67,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bounds hold     : True" in out
 
-    @pytest.mark.parametrize("engine", ["reference", "displacement", "parallel"])
+    @pytest.mark.parametrize("engine", ["reference", "displacement"])
     def test_analyze_engines_agree(self, capsys, engine):
         argv = ["analyze", "--k", "6", "--d", "2", "--engine", engine]
-        if engine == "parallel":
-            argv += ["--jobs", "2"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "E_max           : 3" in out
@@ -194,3 +212,26 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert "exact-search T_3^2" in err
         assert "nodes expanded" in err
+
+
+class TestImportFootprint:
+    def test_analyze_runs_without_scipy_or_networkx(self):
+        # scipy and networkx are test-only dependencies: blocking both
+        # must leave the CLI importable and the load path working
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['analyze', '--k', '4', '--d', '2']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "bounds hold     : True" in proc.stdout
