@@ -10,6 +10,7 @@ Usage (after ``pip install -e .``)::
     python -m repro figure1
     python -m repro simulate  --k 6 --d 2 --routing udr --rounds 10
     python -m repro sweep     --d 2 --ks 4,6,8,10 --family linear
+    python -m repro sweep     --d 2 --ks 16,32 --engine fft --trace sweep.jsonl
     python -m repro certify   --k 5 --d 2                # exact optimality
     python -m repro certify   --k 4 --d 2 --mode full --jobs 4
     python -m repro certify   --k 6 --d 2 --jobs 4 --checkpoint run.jsonl
@@ -35,6 +36,9 @@ subcommand that fans work out over processes, accepts resilience flags
 ``experiments`` restart with ``--checkpoint``/``--resume``.  Long-running
 subcommands accept observability flags (``--trace``,
 ``--profile``/``--profile-out``) wired through :mod:`repro.obs`.
+``analyze``, ``sweep`` and ``experiments`` pick the load backend with
+``--engine``; the engine's block size and spectral plan reuse are fixed
+(see :mod:`repro.load.plancache`) and have no flags.
 Diagnostics go to stderr via :mod:`repro.obs.console`; the top-level
 ``--quiet`` silences everything but errors, keeping machine-parsed
 stdout clean.
@@ -185,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit search heartbeat lines to stderr while certifying",
     )
-    _add_batch_args(p_certify)
     _add_exec_args(p_certify)
     _add_checkpoint_args(p_certify)
     _add_obs_args(p_certify)
@@ -319,24 +322,6 @@ def _add_torus_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help=(
-            "placements per spectral block in batched evaluation "
-            "(default 64)"
-        ),
-    )
-    parser.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="disable spectral plan reuse across engine calls",
-    )
-
-
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
@@ -344,40 +329,14 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="load-computation backend (default auto)",
     )
-    _add_batch_args(parser)
-
-
-def _batch_context(args: argparse.Namespace):
-    """Plan-cache/batch-size context for --batch-size / --no-plan-cache."""
-    from contextlib import ExitStack
-
-    from repro.load import plancache
-
-    stack = ExitStack()
-    if getattr(args, "no_plan_cache", False):
-        stack.enter_context(
-            plancache.using_plan_cache(plancache.NULL_PLAN_CACHE)
-        )
-    batch = getattr(args, "batch_size", None)
-    if batch is not None:
-        previous = plancache.default_batch_size()
-        plancache.set_default_batch_size(batch)
-        stack.callback(plancache.set_default_batch_size, previous)
-    return stack
 
 
 def _engine_context(args: argparse.Namespace):
     """The default-engine context for a subcommand's --engine flag."""
-    from contextlib import ExitStack
-
     from repro.load.engine import using_engine
 
     name = getattr(args, "engine", "auto")
-    stack = ExitStack()
-    if name != "auto":
-        stack.enter_context(using_engine(name))
-    stack.enter_context(_batch_context(args))
-    return stack
+    return using_engine(None if name == "auto" else name)
 
 
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
@@ -766,11 +725,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     torus = Torus(args.k, args.d)
     size = args.size if args.size is not None else args.k ** (args.d - 1)
     upper = args.ub
-    with _obs_context(args), _exec_context(args), _batch_context(args):
+    with _obs_context(args), _exec_context(args):
         if upper is None and args.mode == "bound":
-            screened = screen_initial_upper_bound(
-                torus, size, batch_size=args.batch_size
-            )
+            screened = screen_initial_upper_bound(torus, size)
             if screened is not None:
                 upper, seed = screened
                 print(

@@ -37,7 +37,6 @@ from repro.load.engine import LoadEngine
 from repro.load.report import LoadReport, load_report
 from repro.load import formulas, bounds, quantize, plancache
 from repro.load.plancache import (
-    NULL_PLAN_CACHE,
     PlanCache,
     current_plan_cache,
     set_plan_cache,
@@ -64,7 +63,6 @@ __all__ = [
     "quantize",
     "plancache",
     "PlanCache",
-    "NULL_PLAN_CACHE",
     "current_plan_cache",
     "set_plan_cache",
     "using_plan_cache",

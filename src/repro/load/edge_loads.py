@@ -52,15 +52,13 @@ def edge_loads_reference(
         — Definition 4's :math:`1/|C^A_{p→q}|` fraction is undefined
         there.
     """
+    # deferred: the engine package imports this module on its way in.
+    from repro.load.engine.base import validate_pair_weights
+
     torus = placement.torus
     coords = placement.coords()
     m = len(placement)
-    if pair_weights is not None:
-        pair_weights = np.asarray(pair_weights, dtype=np.float64)
-        if pair_weights.shape != (m, m):
-            raise ValueError(
-                f"pair_weights must have shape ({m}, {m}), got {pair_weights.shape}"
-            )
+    pair_weights = validate_pair_weights(pair_weights, m)
     loads = np.zeros(torus.num_edges, dtype=np.float64)
     for i in range(m):
         for j in range(m):

@@ -29,11 +29,7 @@ from repro.load.engine.displacement import (
     accumulate_displacement_loads,
     displacement_edge_loads,
 )
-from repro.load.engine.fft import (
-    FFTBackend,
-    fft_edge_loads,
-    fft_edge_loads_many,
-)
+from repro.load.engine.fft import FFTBackend, fft_edge_loads
 from repro.load.engine.facade import (
     LoadEngine,
     available_backends,
@@ -57,7 +53,6 @@ __all__ = [
     "PathTemplate",
     "displacement_edge_loads",
     "fft_edge_loads",
-    "fft_edge_loads_many",
     "accumulate_displacement_loads",
     "validate_pair_weights",
     "available_backends",

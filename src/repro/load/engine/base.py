@@ -20,6 +20,7 @@ import abc
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
 
@@ -29,17 +30,27 @@ __all__ = ["LoadBackend", "validate_pair_weights"]
 def validate_pair_weights(
     pair_weights: np.ndarray | None, m: int
 ) -> np.ndarray | None:
-    """Coerce a traffic matrix to ``float64`` and check its shape.
+    """Coerce a traffic matrix to ``float64`` and check it.
 
-    Returns ``None`` untouched (the complete-exchange default); raises
-    ``ValueError`` on a shape mismatch, mirroring the reference oracle.
+    Returns ``None`` untouched (the complete-exchange default).  Raises
+    :class:`~repro.errors.InvalidParameterError` (a ``ValueError``) on a
+    shape mismatch or on any non-finite or negative entry: message
+    multiplicities are finite and non-negative, and a NaN or negative
+    weight would otherwise come back as a plausible-looking wrong load.
     """
     if pair_weights is None:
         return None
     pair_weights = np.asarray(pair_weights, dtype=np.float64)
     if pair_weights.shape != (m, m):
-        raise ValueError(
+        raise InvalidParameterError(
             f"pair_weights must have shape ({m}, {m}), got {pair_weights.shape}"
+        )
+    invalid = ~np.isfinite(pair_weights) | (pair_weights < 0)
+    if invalid.any():
+        i, j = np.argwhere(invalid)[0]
+        raise InvalidParameterError(
+            "pair_weights must be finite and non-negative; entry "
+            f"({i}, {j}) is {pair_weights[i, j]}"
         )
     return pair_weights
 

@@ -36,7 +36,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import EngineError
-from repro.load import plancache
 from repro.load.engine.base import LoadBackend
 from repro.obs.tracer import current_tracer
 from repro.load.engine.displacement import DisplacementBackend
@@ -59,7 +58,18 @@ __all__ = [
 #: the serial preference order the ``auto`` engine tries per call.
 _AUTO_ORDER = ("vectorized", "fft", "displacement", "reference")
 
-_BACKEND_NAMES = ("reference", "vectorized", "fft", "displacement")
+#: the backend registry: name -> class.
+_BACKENDS: dict[str, type[LoadBackend]] = {
+    "reference": ReferenceBackend,
+    "vectorized": VectorizedBackend,
+    "fft": FFTBackend,
+    "displacement": DisplacementBackend,
+}
+
+_BACKEND_NAMES = tuple(_BACKENDS)
+
+#: placements per ``compute_many`` block in :meth:`LoadEngine.edge_loads_many`.
+BLOCK_SIZE = 64
 
 
 def available_backends() -> tuple[str, ...]:
@@ -110,17 +120,7 @@ class LoadEngine:
     def _backend(self, name: str) -> LoadBackend:
         backend = self._backends.get(name)
         if backend is None:
-            if name == "reference":
-                backend = ReferenceBackend()
-            elif name == "vectorized":
-                backend = VectorizedBackend()
-            elif name == "fft":
-                backend = FFTBackend()
-            elif name == "displacement":
-                backend = DisplacementBackend()
-            else:  # pragma: no cover - guarded by __init__
-                raise EngineError(f"unknown load backend {name!r}")
-            self._backends[name] = backend
+            backend = self._backends[name] = _BACKENDS[name]()
         return backend
 
     def backend_for(
@@ -185,7 +185,7 @@ class LoadEngine:
         placements: "Iterable[Placement]",
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
-        batch_size: int | None = None,
+        batch_size: int = BLOCK_SIZE,
     ) -> np.ndarray:
         """Per-edge loads of a placement batch; ``(B, num_edges)``.
 
@@ -195,10 +195,8 @@ class LoadEngine:
         subgroup with a single stacked ``rfftn``/inverse pair against
         the plan cache's usage spectrum, other backends fall back to the
         sequential loop.  The batch is evaluated in blocks of
-        ``batch_size`` placements (default: the ambient
-        :func:`repro.load.plancache.default_batch_size`, the CLI's
-        ``--batch-size``); realized block sizes land on the
-        ``engine.batch_size`` histogram.
+        ``batch_size`` placements (default :data:`BLOCK_SIZE`); realized
+        block sizes land on the ``engine.batch_size`` histogram.
         """
         placements = list(placements)
         if not placements:
@@ -211,25 +209,20 @@ class LoadEngine:
                     f"got {torus} and {placement.torus}"
                 )
         backend = self.backend_for(placements[0], routing, pair_weights)
-        block = (
-            int(batch_size)
-            if batch_size is not None
-            else plancache.default_batch_size()
-        )
-        if block < 1:
-            raise EngineError(f"batch_size must be >= 1, got {block}")
+        if batch_size < 1:
+            raise EngineError(f"batch_size must be >= 1, got {batch_size}")
 
         def run() -> np.ndarray:
             blocks = []
-            for lo in range(0, len(placements), block):
-                chunk = placements[lo : lo + block]
+            for lo in range(0, len(placements), batch_size):
+                chunk = placements[lo : lo + batch_size]
                 metrics.histogram("engine.batch_size").observe(len(chunk))
                 blocks.append(
                     backend.compute_many(
                         chunk, routing, pair_weights=pair_weights
                     )
                 )
-            return np.concatenate(blocks, axis=0)
+            return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
         tracer = current_tracer()
         metrics = tracer.metrics
@@ -261,7 +254,7 @@ class LoadEngine:
         placements: "Iterable[Placement]",
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
-        batch_size: int | None = None,
+        batch_size: int = BLOCK_SIZE,
     ) -> np.ndarray:
         """:math:`E_{max}` per batch member; ``float64`` of length ``B``."""
         loads = self.edge_loads_many(

@@ -46,12 +46,18 @@ divided back by ``Q``.  A snap that would move any value by
 the exact displacement-cache evaluation instead of shipping a wrong
 answer.  Non-integral traffic matrices carry no rational grid; they skip
 the snap and are covered by the engine's 1e-9 agreement bound.
+
+There is one evaluation path, :meth:`FFTBackend.compute_many`; a single
+placement is a batch of one.  Each row is classified once (coset or
+general), coset rows sharing a difference set are stacked into one
+transform, and the drift check and its fallback run once per row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -73,9 +79,10 @@ from repro.load.plancache import (
 from repro.obs.tracer import current_tracer
 from repro.placements.base import Placement
 from repro.routing.base import RoutingAlgorithm
+from repro.torus.topology import Torus
 from repro.util.itertools_ext import ordered_pair_index_arrays
 
-__all__ = ["FFTBackend", "fft_edge_loads", "fft_edge_loads_many"]
+__all__ = ["FFTBackend", "fft_edge_loads"]
 
 #: classes transformed per batch in the general regime — bounds the
 #: ``(chunk, 2d, k^d)`` scratch tensors to a few megabytes.
@@ -148,12 +155,12 @@ def _denominator_groups(
 
 def _scatter_usage(
     table: _ClassTable,
-    rows: np.ndarray,
+    rows,
     quantum: int,
     two_d: int,
     num_nodes: int,
 ) -> np.ndarray:
-    """Aggregate usage tensor ``U[channel, node]`` of one group's classes."""
+    """Aggregate usage tensor ``U[channel, node]`` of the given classes."""
     usage = np.zeros((two_d, num_nodes), dtype=np.float64)
     for i in rows:
         scale = quantum // int(table.denominators[i])
@@ -178,20 +185,31 @@ def _inverse(acc: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape(out.shape[:-d] + (-1,))
 
 
-def _convolve_groups(
-    indicator_hat: np.ndarray,
-    group_spectra: list[tuple[int, np.ndarray]],
+def _convolve(
+    products: Iterable[tuple[int, np.ndarray]],
     shape: tuple[int, ...],
+    batch: int,
     snap: bool,
-) -> tuple[np.ndarray, float]:
-    """Correlate one source spectrum against cached usage spectra."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-transform ``(Q, spectrum)`` products and sum them over ``Q``.
+
+    Every spectrum carries the ``batch`` rows on its leading axis, so a
+    block pays **one** inverse transform per denominator group.  With
+    ``snap`` each group is rounded to integer numerators before the
+    division by ``Q``.
+    Returns ``(loads (B, 2d, k^d), per-row snap drift (B,))``.
+    """
     loads: np.ndarray | None = None
-    drift = 0.0
-    for quantum, usage_hat in group_spectra:
-        conv = _inverse(indicator_hat[None, ...] * usage_hat, shape)
+    drift = np.zeros(batch, dtype=np.float64)
+    for quantum, product in products:
+        conv = _inverse(product, shape)
         if snap:
             snapped = np.rint(conv)
-            drift = max(drift, float(np.abs(conv - snapped).max(initial=0.0)))
+            np.maximum(
+                drift,
+                np.abs(conv - snapped).reshape(batch, -1).max(axis=1),
+                out=drift,
+            )
             conv = snapped
         part = conv / quantum if quantum != 1 else conv
         loads = part if loads is None else loads + part
@@ -199,57 +217,7 @@ def _convolve_groups(
     return loads, drift
 
 
-# ------------------------------------------------------------ entry point
-
-
-def fft_edge_loads(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None = None,
-    cache: DisplacementPathCache | None = None,
-) -> np.ndarray:
-    """Exact per-edge loads via spectral circular correlation.
-
-    Drop-in equivalent of
-    :func:`repro.load.edge_loads.edge_loads_reference` for any
-    translation-invariant routing; after the integer snap-back the values
-    land on the same rational grid the oracle's sums approximate.
-    ``cache`` overrides the path-template cache of the ambient plan
-    (kept for callers that manage their own templates).
-    """
-    plan = _resolve_plan(placement, routing, pair_weights)
-    if cache is not None:
-        plan = SpectralPlan(placement.torus, routing, plan.fingerprint)
-        plan.path_cache = cache
-    loads, _drift, _fast = _fft_edge_loads_impl(
-        placement, routing, pair_weights, plan
-    )
-    return loads
-
-
-def fft_edge_loads_many(
-    placements: list[Placement],
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-edge loads of a placement batch, ``(B, num_edges)``.
-
-    Bit-identical to stacking :func:`fft_edge_loads` rows; see
-    :meth:`FFTBackend.compute_many` for the batching strategy.
-    """
-    return FFTBackend().compute_many(
-        placements, routing, pair_weights=pair_weights
-    )
-
-
-def _resolve_plan(
-    placement: Placement,
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None,
-) -> SpectralPlan:
-    """The ambient cache's plan for this configuration."""
-    traffic = "complete-exchange" if pair_weights is None else "weighted"
-    return current_plan_cache().get(placement.torus, routing, traffic)
+# ---------------------------------------------------------- plan memo layers
 
 
 def _plan_tables(
@@ -280,20 +248,20 @@ def _uniform_spectra(
     plan: SpectralPlan,
     table: _ClassTable,
     groups: list[tuple[int, np.ndarray]],
-    shape: tuple[int, ...],
-    two_d: int,
-    num_nodes: int,
 ) -> list[tuple[int, np.ndarray]]:
     """Forward usage spectra of one class set, memoized on the plan."""
     ckey = table.codes.tobytes()
     spectra = plan.spectra.get(ckey)
     if spectra is None:
+        torus = plan.torus
         spectra = [
             (
                 quantum,
                 _spectrum(
-                    _scatter_usage(table, rows, quantum, two_d, num_nodes),
-                    shape,
+                    _scatter_usage(
+                        table, rows, quantum, 2 * torus.d, torus.num_nodes
+                    ),
+                    torus.shape,
                 ),
             )
             for quantum, rows in groups
@@ -304,258 +272,177 @@ def _uniform_spectra(
     return spectra
 
 
-def _remember_placement_spectra(
-    plan: SpectralPlan, placement: Placement, spectra: list
-) -> None:
-    """Alias the spectra under the placement's id-bytes for warm calls."""
-    if len(plan.placement_spectra) >= MAX_PLAN_ENTRIES:
-        plan.placement_spectra.clear()
-    plan.placement_spectra[placement.node_ids.tobytes()] = spectra
+# ------------------------------------------------------------- classifier
 
 
-def _fft_edge_loads_impl(
+@dataclass(frozen=True)
+class _PairClasses:
+    """The ordered pairs of one placement, grouped by displacement class.
+
+    ``sources[j]`` is the node id of pair ``j``'s source and
+    ``pair_codes[j]`` its displacement code; ``codes`` are the sorted
+    distinct codes, ``rep_disp[i]`` one displacement of class ``i``, and
+    ``weights`` the pair traffic (``None`` under complete exchange).
+    """
+
+    sources: np.ndarray
+    pair_codes: np.ndarray
+    codes: np.ndarray
+    rep_disp: np.ndarray
+    weights: np.ndarray | None
+
+
+def _pair_classes(
     placement: Placement,
-    routing: RoutingAlgorithm,
+    strides: np.ndarray,
     pair_weights: np.ndarray | None,
-    plan: SpectralPlan,
-) -> tuple[np.ndarray, float, bool]:
-    torus = placement.torus
-    k, d = torus.k, torus.d
-    shape, two_d = torus.shape, 2 * d
-    num_nodes = torus.num_nodes
+) -> _PairClasses | None:
+    """Displacement classes of the placement's weighted pairs, or ``None``
+    when no pair carries traffic."""
     coords = placement.coords()
-    m = coords.shape[0]
-    pair_weights = validate_pair_weights(pair_weights, m)
-    strides = np.array([k ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-
-    spectra = (
-        None
-        if pair_weights is not None
-        else plan.placement_spectra.get(placement.node_ids.tobytes())
-    )
-    if spectra is not None:
-        indicator = np.zeros(num_nodes, dtype=np.float64)
-        indicator[placement.node_ids] = 1.0
-        loads, drift = _convolve_groups(
-            _spectrum(indicator, shape), spectra, shape, snap=True
-        )
-        return loads.T.ravel(), drift, True
-
-    pi, qi = ordered_pair_index_arrays(m)
-    disp = np.mod(coords[qi] - coords[pi], k)
+    pi, qi = ordered_pair_index_arrays(coords.shape[0])
+    disp = np.mod(coords[qi] - coords[pi], placement.torus.k)
     weights = None if pair_weights is None else pair_weights[pi, qi]
     if weights is not None:
         keep = weights != 0.0
         pi, disp, weights = pi[keep], disp[keep], weights[keep]
     if disp.shape[0] == 0:
-        return np.zeros(torus.num_edges, dtype=np.float64), 0.0, False
-    codes = disp @ strides
-    uniq_codes, first, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    table, groups = _plan_tables(plan, strides, uniq_codes, disp[first])
-    integral = weights is None or bool(
-        np.all(np.rint(weights) == weights)
+        return None
+    pair_codes = disp @ strides
+    codes, first = np.unique(pair_codes, return_index=True)
+    # node ids are the C-order ravel of the coordinates, i.e. ``@ strides``
+    return _PairClasses(
+        placement.node_ids[pi], pair_codes, codes, disp[first], weights
     )
 
-    # uniform regime: |P - P| = |P| means P is a coset of a subgroup, so
-    # every class's source field is the placement indicator itself.
-    if weights is None and uniq_codes.size == m - 1:
-        spectra = _uniform_spectra(
-            plan, table, groups, shape, two_d, num_nodes
-        )
-        _remember_placement_spectra(plan, placement, spectra)
-        indicator = np.zeros(num_nodes, dtype=np.float64)
-        indicator[placement.node_ids] = 1.0
-        loads, drift = _convolve_groups(
-            _spectrum(indicator, shape), spectra, shape, snap=True
-        )
-        return loads.T.ravel(), drift, True
 
-    # general regime: per-class source fields, accumulated spectrally.
-    p_nodes = coords[pi] @ strides
-    w = np.ones(p_nodes.size, dtype=np.float64) if weights is None else weights
-    freq_shape = shape[:-1] + (k // 2 + 1,)
-    loads_total: np.ndarray | None = None
-    drift = 0.0
-    for quantum, rows in groups:
-        acc = np.zeros((two_d,) + freq_shape, dtype=np.complex128)
-        for lo in range(0, rows.size, _CLASS_CHUNK):
-            chunk = rows[lo : lo + _CLASS_CHUNK]
-            local = np.full(uniq_codes.size, -1, dtype=np.int64)
-            local[chunk] = np.arange(chunk.size)
-            sel = np.flatnonzero(local[inverse] >= 0)
-            fields = np.zeros((chunk.size, num_nodes), dtype=np.float64)
-            np.add.at(fields, (local[inverse[sel]], p_nodes[sel]), w[sel])
-            usage = np.zeros(
-                (chunk.size, two_d, num_nodes), dtype=np.float64
-            )
-            for j, i in enumerate(chunk):
-                scale = quantum // int(table.denominators[i])
-                np.add.at(
-                    usage[j],
-                    (table.channels[i], table.offsets[i]),
-                    table.numerators[i] * scale,
-                )
-            acc += np.einsum(
-                "a...,ab...->b...",
-                _spectrum(fields, shape),
-                _spectrum(usage, shape),
-            )
-        conv = _inverse(acc, shape)
-        if integral:
-            snapped = np.rint(conv)
-            drift = max(drift, float(np.abs(conv - snapped).max(initial=0.0)))
-            conv = snapped
-        part = conv / quantum if quantum != 1 else conv
-        loads_total = part if loads_total is None else loads_total + part
-    assert loads_total is not None
-    # Exact by construction: `conv` is rint-snapped to integer numerators
-    # before the `/ quantum` division, so each entry is the correctly
-    # rounded float of a lattice rational, and the caller enforces the
-    # LOAD_SNAP_TOLERANCE drift contract (falling back to the exact
-    # displacement backend past it).
-    return loads_total.T.ravel(), drift, False  # repro: noqa(RL013)
-
-
-# --------------------------------------------------------- batched kernel
-
-
-def _convolve_groups_batch(
-    indicator_hat: np.ndarray,
-    group_spectra: list[tuple[int, np.ndarray]],
-    shape: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Correlate a stacked indicator spectrum against cached usage spectra.
-
-    ``indicator_hat`` carries the batch on its leading axis; the product
-    broadcasts every placement against every edge channel, so the whole
-    batch pays **one** inverse transform per denominator group.  Returns
-    ``(loads (B, 2d, k^d), per-placement snap drift (B,))``.
-    """
-    batch = indicator_hat.shape[0]
-    loads: np.ndarray | None = None
-    drift = np.zeros(batch, dtype=np.float64)
-    for quantum, usage_hat in group_spectra:
-        conv = _inverse(
-            indicator_hat[:, None, ...] * usage_hat[None, ...], shape
-        )
-        snapped = np.rint(conv)
-        np.maximum(
-            drift,
-            np.abs(conv - snapped).reshape(batch, -1).max(axis=1),
-            out=drift,
-        )
-        part = snapped / quantum if quantum != 1 else snapped
-        loads = part if loads is None else loads + part
-    assert loads is not None
-    return loads, drift
-
-
-def _fft_edge_loads_many_impl(
-    placements: list[Placement],
-    routing: RoutingAlgorithm,
-    pair_weights: np.ndarray | None,
+def _classify(
     plan: SpectralPlan,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched per-edge loads; ``(loads (B, E), drifts (B,), fast (B,))``.
+    placement: Placement,
+    strides: np.ndarray,
+) -> tuple[list[tuple[int, np.ndarray]] | None, _PairClasses | None]:
+    """Route one complete-exchange placement to a regime.
 
-    Placements sharing a displacement-class set (every coset of one
-    subgroup — e.g. all offsets of a linear placement family) are stacked
-    on a leading batch axis and resolved by a single ``rfftn``/inverse
-    pair against the plan's cached usage spectrum.  Non-coset placements
-    and weighted traffic fall through to the per-placement general path,
-    which stays bit-identical to the sequential call by construction.
+    Returns ``(spectra, None)`` for a coset, whose loads are one
+    correlation of its indicator with the memoized usage spectra, and
+    ``(None, classes)`` otherwise.  The ``placement_spectra`` alias is
+    checked first, so a warm coset skips the pair pass; ``|P - P| = |P|``
+    is the coset test, since it forces ``P - P`` to be a subgroup.
     """
-    torus = placements[0].torus
-    shape, two_d = torus.shape, 2 * torus.d
-    num_nodes = torus.num_nodes
-    batch = len(placements)
-    loads_out = np.zeros((batch, torus.num_edges), dtype=np.float64)
-    drifts = np.zeros(batch, dtype=np.float64)
-    fast = np.zeros(batch, dtype=bool)
+    alias = placement.node_ids.tobytes()
+    spectra = plan.placement_spectra.get(alias)
+    if spectra is not None:
+        return spectra, None
+    classes = _pair_classes(placement, strides, None)
+    if classes is None or classes.codes.size != len(placement) - 1:
+        return None, classes
+    table, groups = _plan_tables(plan, strides, classes.codes, classes.rep_disp)
+    spectra = _uniform_spectra(plan, table, groups)
+    if len(plan.placement_spectra) >= MAX_PLAN_ENTRIES:
+        plan.placement_spectra.clear()
+    plan.placement_spectra[alias] = spectra
+    return spectra, None
 
-    # group batch rows by the spectra object serving them (one group per
-    # distinct difference set), falling back per placement otherwise.
-    groups: dict[int, tuple[list, list[int]]] = {}
-    strides = np.array(
-        [torus.k ** (torus.d - 1 - i) for i in range(torus.d)],
-        dtype=np.int64,
+
+# ---------------------------------------------------------- general regime
+
+
+def _class_correlation(
+    torus: Torus,
+    table: _ClassTable,
+    classes: _PairClasses,
+    weights: np.ndarray,
+    quantum: int,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Spectral sum over classes ``rows`` of source field times usage.
+
+    Each class keeps its own source field; fields and usage tensors are
+    transformed :data:`_CLASS_CHUNK` classes at a time and accumulated in
+    the frequency domain, bounding the scratch tensors to a few MB.
+    """
+    shape, two_d, num_nodes = torus.shape, 2 * torus.d, torus.num_nodes
+    inverse = np.searchsorted(classes.codes, classes.pair_codes)
+    acc = np.zeros(
+        (two_d,) + shape[:-1] + (torus.k // 2 + 1,), dtype=np.complex128
     )
-    for b, placement in enumerate(placements):
-        spectra = None
-        if pair_weights is None:
-            spectra = plan.placement_spectra.get(
-                placement.node_ids.tobytes()
-            )
-            if spectra is None:
-                spectra = _classify_for_batch(placement, plan, strides)
-        if spectra is None:
-            loads_out[b], drifts[b], fast[b] = _fft_edge_loads_impl(
-                placement, routing, pair_weights, plan
-            )
-        else:
-            groups.setdefault(id(spectra), (spectra, []))[1].append(b)
-
-    for spectra, rows in groups.values():
-        indicators = np.zeros((len(rows), num_nodes), dtype=np.float64)
-        for i, b in enumerate(rows):
-            indicators[i, placements[b].node_ids] = 1.0
-        block, block_drift = _convolve_groups_batch(
-            _spectrum(indicators, shape), spectra, shape
+    for lo in range(0, rows.size, _CLASS_CHUNK):
+        chunk = rows[lo : lo + _CLASS_CHUNK]
+        local = np.full(classes.codes.size, -1, dtype=np.int64)
+        local[chunk] = np.arange(chunk.size)
+        sel = np.flatnonzero(local[inverse] >= 0)
+        fields = np.zeros((chunk.size, num_nodes), dtype=np.float64)
+        np.add.at(
+            fields,
+            (local[inverse[sel]], classes.sources[sel]),
+            weights[sel],
         )
-        loads_out[rows] = np.swapaxes(block, 1, 2).reshape(len(rows), -1)
-        drifts[rows] = block_drift
-        fast[rows] = True
-    return loads_out, drifts, fast
+        usage = np.stack(
+            [_scatter_usage(table, (i,), quantum, two_d, num_nodes) for i in chunk]
+        )
+        acc += np.einsum(
+            "a...,ab...->b...",
+            _spectrum(fields, shape),
+            _spectrum(usage, shape),
+        )
+    return acc
 
 
-def _classify_for_batch(
-    placement: Placement, plan: SpectralPlan, strides: np.ndarray
-) -> "list[tuple[int, np.ndarray]] | None":
-    """Uniform-regime spectra for one batch member, or ``None``.
+def _general_loads(
+    plan: SpectralPlan,
+    classes: _PairClasses | None,
+    strides: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Loads and snap drift of one non-coset placement or weighted traffic.
 
-    The coset test and spectra construction mirror the single-placement
-    path exactly (same plan memo keys), so batched and sequential calls
-    share — and warm — the same cache entries.
+    The inverse transform is paid once per denominator group.  Integral
+    traffic is snapped back; other traffic has no rational grid and is
+    not.
     """
-    cached = plan.placement_spectra.get(placement.node_ids.tobytes())
-    if cached is not None:
-        return cached
-    coords = placement.coords()
-    m = coords.shape[0]
-    if m < 2:
-        return None
-    k = plan.torus.k
-    pi, qi = ordered_pair_index_arrays(m)
-    disp = np.mod(coords[qi] - coords[pi], k)
-    codes = disp @ strides
-    uniq_codes, first = np.unique(codes, return_index=True)
-    if uniq_codes.size != m - 1:
-        return None
-    table, groups = _plan_tables(plan, strides, uniq_codes, disp[first])
-    shape, two_d = plan.torus.shape, 2 * plan.torus.d
-    spectra = _uniform_spectra(
-        plan, table, groups, shape, two_d, plan.torus.num_nodes
+    torus = plan.torus
+    if classes is None:
+        return np.zeros(torus.num_edges, dtype=np.float64), 0.0
+    table, groups = _plan_tables(plan, strides, classes.codes, classes.rep_disp)
+    weights = classes.weights
+    integral = weights is None or bool(np.all(np.rint(weights) == weights))
+    if weights is None:
+        weights = np.ones(classes.sources.size)
+    products = (
+        (q, _class_correlation(torus, table, classes, weights, q, rows)[None])
+        for q, rows in groups
     )
-    _remember_placement_spectra(plan, placement, spectra)
-    return spectra
+    loads, drift = _convolve(products, torus.shape, 1, snap=integral)
+    return loads[0].T.ravel(), float(drift[0])
 
 
 # --------------------------------------------------------------- backend
 
 
+def fft_edge_loads(
+    placement: Placement,
+    routing: RoutingAlgorithm,
+    pair_weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact per-edge loads via spectral circular correlation.
+
+    Drop-in equivalent of
+    :func:`repro.load.edge_loads.edge_loads_reference` for any
+    translation-invariant routing; after the integer snap-back the values
+    land on the same rational grid the oracle's sums approximate.
+    """
+    return FFTBackend().compute(placement, routing, pair_weights=pair_weights)
+
+
 class FFTBackend(LoadBackend):
-    """Spectral backend built on :func:`fft_edge_loads`.
+    """Spectral backend: every call is one :meth:`compute_many` batch.
 
     All configuration-dependent state — path templates, displacement
     class tables, forward usage spectra — lives in the ambient
-    content-addressed :class:`~repro.load.plancache.PlanCache` (see
+    :class:`~repro.load.plancache.PlanCache` (see
     :func:`~repro.load.plancache.using_plan_cache`), so sweeps and
     search loops that re-evaluate the same configuration pay only one
-    forward transform, one product, and one inverse transform per call —
-    across backend instances, engine facades, and (via initializer-
-    populated worker caches) process-pool fan-outs.
+    forward transform, one product, and one inverse transform per call,
+    across backend instances and engine facades.
 
     Attributes
     ----------
@@ -579,52 +466,13 @@ class FFTBackend(LoadBackend):
     ) -> bool:
         return bool(getattr(routing, "translation_invariant", False))
 
-    def _require_supported(
-        self,
-        placement: Placement,
-        routing: RoutingAlgorithm,
-        pair_weights: np.ndarray | None,
-    ) -> None:
-        if not self.supports(placement, routing, pair_weights):
-            raise EngineError(
-                f"routing {routing.name!r} is not translation-invariant; "
-                "the FFT correlation backend would be unsound for it — "
-                "use the 'reference' backend (the 'auto' engine does so)"
-            )
-
     def compute(
         self,
         placement: Placement,
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        self._require_supported(placement, routing, pair_weights)
-        plan = _resolve_plan(placement, routing, pair_weights)
-        loads, drift, fast = _fft_edge_loads_impl(
-            placement, routing, pair_weights, plan
-        )
-        self.last_snap_drift = drift
-        if drift >= LOAD_SNAP_TOLERANCE:
-            # the spectral accumulation lost too much precision for the
-            # snap-back contract — recompute exactly instead of shipping
-            # a possibly mis-rounded grid point.
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.metrics.counter("engine.fft.snap_fallbacks").add(1)
-            return displacement_edge_loads(
-                placement,
-                routing,
-                pair_weights=pair_weights,
-                cache=plan.path_cache,
-            )
-        tracer = current_tracer()
-        if tracer.enabled:
-            if fast:
-                tracer.metrics.counter("engine.fft.fast_path").add(1)
-            else:
-                tracer.metrics.counter("engine.fft.general_path").add(1)
-            tracer.metrics.gauge("engine.fft.snap_drift").set(drift)
-        return loads
+        return self.compute_many([placement], routing, pair_weights)[0]
 
     def compute_many(
         self,
@@ -632,38 +480,91 @@ class FFTBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        self._require_supported(placements[0], routing, pair_weights)
-        plan = _resolve_plan(placements[0], routing, pair_weights)
-        loads, drifts, fast = _fft_edge_loads_many_impl(
-            placements, routing, pair_weights, plan
+        """Per-edge loads of a placement batch, ``(B, num_edges)``.
+
+        Coset rows sharing a difference set (e.g. every offset of a
+        linear placement family) are stacked on a leading batch axis and
+        resolved by a single ``rfftn``/inverse pair against the plan's
+        cached usage spectrum; other rows take the general regime one at
+        a time.  A row whose snap drift reaches
+        :data:`~repro.load.quantize.LOAD_SNAP_TOLERANCE` is recomputed by
+        the exact displacement evaluation instead.
+        """
+        if not self.supports(placements[0], routing, pair_weights):
+            raise EngineError(
+                f"routing {routing.name!r} is not translation-invariant; "
+                "the FFT correlation backend would be unsound for it — "
+                "use the 'reference' backend (the 'auto' engine does so)"
+            )
+        torus = placements[0].torus
+        traffic = "complete-exchange" if pair_weights is None else "weighted"
+        plan = current_plan_cache().get(torus, routing, traffic)
+        d = torus.d
+        strides = np.array(
+            [torus.k ** (d - 1 - i) for i in range(d)], dtype=np.int64
         )
+        batch = len(placements)
+        loads = np.zeros((batch, torus.num_edges), dtype=np.float64)
+        drifts = np.zeros(batch, dtype=np.float64)
+        fast = np.zeros(batch, dtype=bool)
+
+        # coset rows grouped by the spectra object serving them (one
+        # group per distinct difference set); the rest are done in place.
+        cosets: dict[int, tuple[list, list[int]]] = {}
+        for b, placement in enumerate(placements):
+            if pair_weights is None:
+                spectra, classes = _classify(plan, placement, strides)
+            else:
+                weights = validate_pair_weights(pair_weights, len(placement))
+                spectra, classes = None, _pair_classes(
+                    placement, strides, weights
+                )
+            if spectra is None:
+                loads[b], drifts[b] = _general_loads(plan, classes, strides)
+            else:
+                cosets.setdefault(id(spectra), (spectra, []))[1].append(b)
+
+        for spectra, rows in cosets.values():
+            indicators = np.zeros((len(rows), torus.num_nodes))
+            for i, b in enumerate(rows):
+                indicators[i, placements[b].node_ids] = 1.0
+            indicator_hat = _spectrum(indicators, torus.shape)
+            block, drifts[rows] = _convolve(
+                (
+                    (quantum, indicator_hat[:, None] * usage_hat[None])
+                    for quantum, usage_hat in spectra
+                ),
+                torus.shape,
+                len(rows),
+                snap=True,
+            )
+            loads[rows] = np.swapaxes(block, 1, 2).reshape(len(rows), -1)
+            fast[rows] = True
+
         self.last_snap_drift = float(drifts.max(initial=0.0))
-        tracer = current_tracer()
         fallbacks = np.flatnonzero(drifts >= LOAD_SNAP_TOLERANCE)
         for b in fallbacks:
-            # per-placement drift fallback: only the rows that broke the
-            # snap contract pay the exact displacement evaluation.
+            # the spectral accumulation lost too much precision for the
+            # snap-back contract: only this row pays the exact evaluation.
             loads[b] = displacement_edge_loads(
                 placements[b],
                 routing,
                 pair_weights=pair_weights,
                 cache=plan.path_cache,
             )
+        tracer = current_tracer()
         if tracer.enabled:
             metrics = tracer.metrics
+            fast[fallbacks] = False
+            n_fast = int(fast.sum())
+            n_general = batch - fallbacks.size - n_fast
             if fallbacks.size:
                 metrics.counter("engine.fft.snap_fallbacks").add(
                     int(fallbacks.size)
                 )
-            ok = np.setdiff1d(
-                np.arange(len(placements)), fallbacks, assume_unique=True
-            )
-            n_fast = int(fast[ok].sum())
             if n_fast:
                 metrics.counter("engine.fft.fast_path").add(n_fast)
-            if ok.size - n_fast:
-                metrics.counter("engine.fft.general_path").add(
-                    int(ok.size) - n_fast
-                )
+            if n_general:
+                metrics.counter("engine.fft.general_path").add(n_general)
             metrics.gauge("engine.fft.snap_drift").set(self.last_snap_drift)
         return loads

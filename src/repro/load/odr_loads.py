@@ -91,6 +91,9 @@ def dimension_order_edge_loads(
     numpy.ndarray
         ``float64`` loads for all ``2d·k^d`` directed edges.
     """
+    # deferred: the engine package imports this module on its way in.
+    from repro.load.engine.base import validate_pair_weights
+
     torus = placement.torus
     k, d = torus.k, torus.d
     order = tuple(int(i) for i in order)
@@ -107,15 +110,8 @@ def dimension_order_edge_loads(
     p = coords[pi]  # (n_pairs, d)
     q = coords[qi]
 
-    if pair_weights is not None:
-        pair_weights = np.asarray(pair_weights, dtype=np.float64)
-        if pair_weights.shape != (m, m):
-            raise ValueError(
-                f"pair_weights must have shape ({m}, {m}), got {pair_weights.shape}"
-            )
-        weights = pair_weights[pi, qi]
-    else:
-        weights = None
+    pair_weights = validate_pair_weights(pair_weights, m)
+    weights = None if pair_weights is None else pair_weights[pi, qi]
 
     loads = np.zeros(torus.num_edges, dtype=np.float64)
     accumulate_pair_loads(loads, k, d, p, q, order=order, weights=weights)

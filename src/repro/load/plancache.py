@@ -1,27 +1,22 @@
-"""Content-addressed spectral plan cache — shared warm state for the engine.
+"""Spectral plan cache — shared warm state for the FFT load backend.
 
 The FFT backend's per-call cost splits into two parts: work that depends
 only on the *configuration* ``(torus shape, routing, traffic)`` —
 displacement path templates, class tables, forward usage spectra — and
 work that depends on the *placement* — one indicator transform, one
-product, one inverse transform.  PR 6 cached the first part per backend
-instance, which meant every fresh :class:`~repro.load.engine.LoadEngine`,
-every pool worker, and every subprocess re-derived it from scratch.
+product, one inverse transform.
 
-This module hoists that state into a process-wide bounded LRU keyed by a
-**content address**: the same JSON-compatible fingerprint scheme
-:class:`repro.exec.journal.CheckpointJournal` uses for workload headers,
-here over ``(shape, routing, traffic, plan-scheme version)``.  Two
-routing *instances* with the same structural fingerprint share one plan —
-``id()`` never appears in a key, so worker processes populated via
-:class:`repro.exec.ResilientExecutor` initializers address the exact same
-plans the parent does.
+This module keeps the first part in a process-wide bounded LRU.  Its key
+is a plain tuple of the configuration's structure: torus shape, routing
+class, routing name, dimension order and traffic label.  Two routing
+*instances* with the same structure share one plan, since ``id()`` never
+appears in a key.  Plans are never persisted and never sent between
+processes: a pool worker builds its own plan on first use.
 
 The ambient-policy convention mirrors ``using_engine`` /
 ``using_exec_policy`` / ``using_tracer``: instrumented code asks
 :func:`current_plan_cache` for the cache the caller installed with
-:func:`using_plan_cache`; :data:`NULL_PLAN_CACHE` disables reuse without
-touching call sites (the CLI's ``--no-plan-cache``).
+:func:`using_plan_cache`.
 
 Observability: every lookup bumps ``plancache.hits`` / ``plancache.misses``
 (and ``plancache.evictions`` when the LRU rolls), and the current entry
@@ -32,7 +27,6 @@ count lands on the ``plancache.size`` gauge — all through
 from __future__ import annotations
 
 import contextlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator
@@ -44,84 +38,45 @@ from repro.routing.base import RoutingAlgorithm
 from repro.torus.topology import Torus
 
 __all__ = [
-    "PLAN_SCHEME_VERSION",
     "DEFAULT_PLAN_CAPACITY",
-    "DEFAULT_BATCH_SIZE",
     "SpectralPlan",
     "PlanCache",
     "PlanCacheStats",
-    "NULL_PLAN_CACHE",
-    "plan_fingerprint",
-    "plan_key",
-    "routing_fingerprint",
     "get_default_plan_cache",
     "set_plan_cache",
     "current_plan_cache",
     "using_plan_cache",
-    "default_batch_size",
-    "set_default_batch_size",
-    "warm_worker_plan_cache",
 ]
-
-#: bump when the cached plan layout changes incompatibly — a different
-#: scheme version is a different content address, never a stale hit.
-PLAN_SCHEME_VERSION = 1
 
 #: plans kept by the default LRU before the least-recently-used rolls off.
 DEFAULT_PLAN_CAPACITY = 32
 
 #: per-plan bound on memoized class tables / spectra entries (cleared
-#: wholesale when full, like the PR-6 per-backend plan store).
+#: wholesale when full).
 MAX_PLAN_ENTRIES = 64
 
-#: placements evaluated per spectral block when the caller gives no
-#: explicit batch size (the CLI's ``--batch-size``).
-DEFAULT_BATCH_SIZE = 64
 
+def _config_key(
+    torus: Torus, routing: RoutingAlgorithm, traffic: str
+) -> tuple:
+    """The LRU key of one configuration: ``(shape, routing class, routing
+    name, dimension order, traffic)``.
 
-# --------------------------------------------------------- content address
-
-
-def routing_fingerprint(routing: RoutingAlgorithm) -> Dict[str, Any]:
-    """Structural (not ``id``-based) identity of a routing algorithm.
-
-    Class name, report name, and the dimension permutation for the
-    dimension-order family — everything that determines the path set of
-    a displacement class for the routings the engine accepts.
+    The dimension order covers the dimension-order family; together with
+    the class and report name it determines the path set of every
+    displacement class for the routings the engine accepts.  ``traffic``
+    is a label, not a tensor: weighted traffic reuses only the
+    traffic-independent parts of a plan, so ``"weighted"`` keys a
+    separate plan from the complete-exchange one.
     """
     order = getattr(routing, "order", None)
-    return {
-        "class": type(routing).__name__,
-        "name": routing.name,
-        "order": None if order is None else [int(i) for i in order],
-    }
-
-
-def plan_fingerprint(
-    torus: Torus,
-    routing: RoutingAlgorithm,
-    traffic: str = "complete-exchange",
-) -> Dict[str, Any]:
-    """The JSON-compatible content address of one spectral plan.
-
-    The same shape a :class:`~repro.exec.journal.CheckpointJournal`
-    header carries: exact-match comparable, picklable, journal-able.
-    ``traffic`` is a label, not a tensor — weighted traffic reuses only
-    the traffic-independent parts of a plan (path templates and class
-    tables), so ``"weighted"`` addresses a separate plan from the
-    complete-exchange one.
-    """
-    return {
-        "scheme": PLAN_SCHEME_VERSION,
-        "shape": [int(side) for side in torus.shape],
-        "routing": routing_fingerprint(routing),
-        "traffic": traffic,
-    }
-
-
-def plan_key(fingerprint: Dict[str, Any]) -> str:
-    """Canonical string form of a fingerprint (the LRU key)."""
-    return json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return (
+        tuple(int(side) for side in torus.shape),
+        type(routing).__name__,
+        routing.name,
+        None if order is None else tuple(int(i) for i in order),
+        traffic,
+    )
 
 
 # ----------------------------------------------------------------- plans
@@ -144,22 +99,15 @@ class SpectralPlan:
     """
 
     def __init__(
-        self,
-        torus: Torus,
-        routing: RoutingAlgorithm,
-        fingerprint: Dict[str, Any],
+        self, torus: Torus, routing: RoutingAlgorithm, key: tuple
     ) -> None:
         self.torus = torus
         self.routing = routing
-        self.fingerprint = fingerprint
+        self.key = key
         self.path_cache = DisplacementPathCache(torus, routing)
         self.class_tables: Dict[bytes, Any] = {}
         self.spectra: Dict[bytes, Any] = {}
         self.placement_spectra: Dict[bytes, Any] = {}
-
-    @property
-    def key(self) -> str:
-        return plan_key(self.fingerprint)
 
     def __repr__(self) -> str:
         return (
@@ -189,7 +137,7 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """A bounded LRU of :class:`SpectralPlan` entries, content-addressed.
+    """A bounded LRU of :class:`SpectralPlan` entries, keyed by structure.
 
     Parameters
     ----------
@@ -202,7 +150,7 @@ class PlanCache:
         if capacity < 1:
             raise EngineError(f"plan cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._plans: "OrderedDict[str, SpectralPlan]" = OrderedDict()
+        self._plans: "OrderedDict[tuple, SpectralPlan]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -216,8 +164,7 @@ class PlanCache:
         traffic: str = "complete-exchange",
     ) -> SpectralPlan:
         """The plan for this configuration, built on first request."""
-        fingerprint = plan_fingerprint(torus, routing, traffic)
-        key = plan_key(fingerprint)
+        key = _config_key(torus, routing, traffic)
         metrics = current_tracer().metrics
         plan = self._plans.get(key)
         if plan is not None:
@@ -227,7 +174,7 @@ class PlanCache:
             return plan
         self._misses += 1
         metrics.counter("plancache.misses").add(1)
-        plan = SpectralPlan(torus, routing, fingerprint)
+        plan = SpectralPlan(torus, routing, key)
         self._plans[key] = plan
         if len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
@@ -245,11 +192,11 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: tuple) -> bool:
         return key in self._plans
 
-    def keys(self) -> list[str]:
-        """Resident content addresses, least recently used first."""
+    def keys(self) -> list[tuple]:
+        """Resident plan keys, least recently used first."""
         return list(self._plans)
 
     def clear(self) -> None:
@@ -263,30 +210,6 @@ class PlanCache:
             f"hits={stats.hits}, misses={stats.misses}, "
             f"evictions={stats.evictions})"
         )
-
-
-class _NullPlanCache(PlanCache):
-    """A cache that never retains — every lookup builds a fresh plan.
-
-    Installed by ``--no-plan-cache``; call sites stay oblivious.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def get(
-        self,
-        torus: Torus,
-        routing: RoutingAlgorithm,
-        traffic: str = "complete-exchange",
-    ) -> SpectralPlan:
-        return SpectralPlan(
-            torus, routing, plan_fingerprint(torus, routing, traffic)
-        )
-
-
-#: the shared do-nothing cache — plan reuse disabled, semantics unchanged.
-NULL_PLAN_CACHE: PlanCache = _NullPlanCache()
 
 
 # ------------------------------------------------------------ ambient cache
@@ -336,42 +259,3 @@ def using_plan_cache(cache: PlanCache | None) -> Iterator[PlanCache]:
         yield cache
     finally:
         _default_plan_cache = previous
-
-
-# ------------------------------------------------------------- batch size
-
-_default_batch_size: int = DEFAULT_BATCH_SIZE
-
-
-def default_batch_size() -> int:
-    """Placements per spectral block when callers pass ``batch_size=None``."""
-    return _default_batch_size
-
-
-def set_default_batch_size(size: int | None) -> int:
-    """Set the ambient batch size (``None`` resets to the default)."""
-    global _default_batch_size
-    if size is None:
-        _default_batch_size = DEFAULT_BATCH_SIZE
-    else:
-        if size < 1:
-            raise EngineError(f"batch size must be >= 1, got {size}")
-        _default_batch_size = int(size)
-    return _default_batch_size
-
-
-# ------------------------------------------------------ worker population
-
-
-def warm_worker_plan_cache(
-    k: int, d: int, routing: RoutingAlgorithm
-) -> None:
-    """Pool-initializer hook: pre-build one plan in this worker process.
-
-    Pass as ``initializer=warm_worker_plan_cache, initargs=(k, d,
-    routing)`` to :class:`repro.exec.ResilientExecutor`, so every worker
-    derives the configuration's templates once at startup instead of
-    once per task.  Content addressing guarantees the worker-built plan
-    answers the same keys the parent's does.
-    """
-    get_default_plan_cache().get(Torus(k, d), routing)

@@ -98,28 +98,27 @@ def _evaluate_chunk_batched(
     ``emax_many`` — one stacked spectral transform per block against the
     plan-cached usage spectrum, bit-identical to the oracle after the
     integer snap-back."""
-    k, d, chunk, batch_size = args
+    k, d, chunk = args
     # deferred: repro.load's package init imports this module via
     # repro.placements before the engine subpackage finishes loading.
     from repro.load.engine import LoadEngine
-    from repro.load.plancache import default_batch_size
+    from repro.load.engine.facade import BLOCK_SIZE
     from repro.routing.odr import OrderedDimensionalRouting
 
     torus = Torus(k, d)
     engine = LoadEngine("fft")
     routing = OrderedDimensionalRouting(d)
-    block = int(batch_size) if batch_size else default_batch_size()
     best: float | None = None
     best_ids: tuple[int, ...] | None = None
     num_optimal = 0
     histogram: dict[float, int] = {}
     stream = iter(chunk)
     while True:
-        ids_block = list(itertools.islice(stream, block))
+        ids_block = list(itertools.islice(stream, BLOCK_SIZE))
         if not ids_block:
             break
         placements = [Placement(torus, list(ids)) for ids in ids_block]
-        emaxes = engine.emax_many(placements, routing, batch_size=block)
+        emaxes = engine.emax_many(placements, routing)
         for ids, value in zip(ids_block, emaxes):
             emax = float(value)
             histogram[emax] = histogram.get(emax, 0) + 1
@@ -139,28 +138,22 @@ def _evaluate_chunk_batched(
 # span is a few bytes over the pipe, idempotent to re-run after a worker
 # crash, and small enough to journal for checkpoint/resume.
 
-_SPAN_CONFIG: tuple[int, int, int | None] | None = None
+_SPAN_CONFIG: tuple[int, int] | None = None
 
 
-def _init_span_worker(k: int, d: int, batch_size: int | None = None) -> None:
+def _init_span_worker(k: int, d: int) -> None:
     global _SPAN_CONFIG
-    _SPAN_CONFIG = (k, d, batch_size)
-    # pre-build this worker's spectral plan once at pool startup; content
-    # addressing means every span task then hits the same warm entry.
-    from repro.load.plancache import warm_worker_plan_cache
-    from repro.routing.odr import OrderedDimensionalRouting
-
-    warm_worker_plan_cache(k, d, OrderedDimensionalRouting(d))
+    _SPAN_CONFIG = (k, d)
 
 
 def _evaluate_span(payload) -> tuple:
     start, span_count = payload
     assert _SPAN_CONFIG is not None
-    k, d, batch_size = _SPAN_CONFIG
+    k, d = _SPAN_CONFIG
     combos = itertools.islice(
         combinations_from(k**d, tuple(start)), span_count
     )
-    return _evaluate_chunk_batched((k, d, combos, batch_size))
+    return _evaluate_chunk_batched((k, d, combos))
 
 
 def _encode_catalog_partial(partial: tuple) -> dict[str, Any]:
@@ -192,7 +185,6 @@ def global_minimum_emax(
     processes: int | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
-    batch_size: int | None = None,
 ) -> CatalogResult:
     """Exhaustively find the minimum ODR :math:`E_{max}` over all placements.
 
@@ -212,10 +204,6 @@ def global_minimum_emax(
     resume:
         Resume from an existing ``checkpoint``: journaled spans are
         merged from their stored partials without re-evaluating.
-    batch_size:
-        Placements per ``emax_many`` block (``None``: the ambient
-        default, normally 64).  Purely a throughput knob — results are
-        bit-identical to the per-placement oracle for any value.
 
     Raises
     ------
@@ -245,7 +233,7 @@ def global_minimum_emax(
         # the combination stream is consumed lazily — never materialized
         all_ids = itertools.combinations(range(torus.num_nodes), size)
         partials = [
-            _evaluate_chunk_batched((torus.k, torus.d, all_ids, batch_size))
+            _evaluate_chunk_batched((torus.k, torus.d, all_ids))
         ]
     else:
         workers = 1 if serial else int(processes)  # type: ignore[arg-type]
@@ -281,7 +269,7 @@ def global_minimum_emax(
             _evaluate_span,
             jobs=workers,
             initializer=_init_span_worker,
-            initargs=(torus.k, torus.d, batch_size),
+            initargs=(torus.k, torus.d),
             journal=journal,
             label=f"catalog[T_{torus.k}^{torus.d} n={size}]",
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import EngineError, LoadError
+from repro.errors import EngineError, InvalidParameterError, LoadError
 from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import (
     DisplacementPathCache,
@@ -175,6 +175,46 @@ class TestEngineErrors:
     def test_resolve_engine_rejects_garbage(self):
         with pytest.raises(EngineError):
             resolve_engine(42)
+
+
+def _invalid_weights(kind, m):
+    w = np.ones((m, m))
+    np.fill_diagonal(w, 0.0)
+    if kind == "nan":
+        w[:] = np.nan
+    elif kind == "inf":
+        w[0, 1] = np.inf
+    else:
+        w[1, 0] = -1.0
+    return w
+
+
+class TestInvalidTraffic:
+    """Non-finite or negative traffic is rejected, never turned into loads."""
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "negative"])
+    @pytest.mark.parametrize(
+        "backend", ["reference", "vectorized", "displacement", "fft"]
+    )
+    def test_backend_rejects(self, linear_4_2, backend, kind):
+        w = _invalid_weights(kind, len(linear_4_2))
+        with pytest.raises(InvalidParameterError, match="pair_weights"):
+            LoadEngine(backend).edge_loads(
+                linear_4_2, OrderedDimensionalRouting(2), pair_weights=w
+            )
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "negative"])
+    @pytest.mark.parametrize(
+        "backend", ["reference", "vectorized", "displacement", "fft"]
+    )
+    def test_edge_loads_many_rejects(self, linear_4_2, backend, kind):
+        w = _invalid_weights(kind, len(linear_4_2))
+        with pytest.raises(InvalidParameterError, match="pair_weights"):
+            LoadEngine(backend).edge_loads_many(
+                [linear_4_2, linear_4_2],
+                OrderedDimensionalRouting(2),
+                pair_weights=w,
+            )
 
 
 class TestDefaultEngine:

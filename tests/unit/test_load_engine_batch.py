@@ -3,8 +3,7 @@
 The facade contract: row ``b`` of the batch is *bit*-identical to a
 sequential ``edge_loads(placements[b], ...)`` call, for every backend,
 whatever mix of coset and general-regime placements the batch holds, and
-across process boundaries when workers warm their plan caches through
-:func:`repro.load.plancache.warm_worker_plan_cache`.
+across process boundaries, where each worker builds its own plan.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import pytest
 from repro.errors import EngineError
 from repro.exec import ExecPolicy, ExecTask, ResilientExecutor
 from repro.load.engine import LoadEngine
-from repro.load.plancache import PlanCache, using_plan_cache, warm_worker_plan_cache
+from repro.load.plancache import PlanCache, using_plan_cache
 from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
@@ -142,7 +141,7 @@ _POOL_K, _POOL_D = 4, 2
 
 
 def _pool_edge_loads(node_ids):
-    """Worker-side evaluation against the worker's warmed plan cache."""
+    """Worker-side evaluation against the worker's own plan cache."""
     torus = Torus(_POOL_K, _POOL_D)
     routing = OrderedDimensionalRouting(_POOL_D)
     placement = Placement(torus, list(node_ids), name="pool")
@@ -151,7 +150,7 @@ def _pool_edge_loads(node_ids):
 
 class TestCrossProcessDeterminism:
     def test_warmed_workers_reproduce_parent_loads_bitwise(self):
-        """Same content address, same bytes — in every worker process."""
+        """Same plan key, same bytes — each worker warms its own plan."""
         torus = Torus(_POOL_K, _POOL_D)
         routing = OrderedDimensionalRouting(_POOL_D)
         placements = [
@@ -165,8 +164,6 @@ class TestCrossProcessDeterminism:
         executor = ResilientExecutor(
             _pool_edge_loads,
             jobs=2,
-            initializer=warm_worker_plan_cache,
-            initargs=(_POOL_K, _POOL_D, routing),
             policy=ExecPolicy(retries=1),
             label="batch-determinism",
         )

@@ -9,6 +9,7 @@ tolerance — on every translation-invariant configuration.
 import numpy as np
 import pytest
 
+import repro.load.engine.fft as fft_module
 from repro.errors import EngineError
 from repro.load.edge_loads import edge_loads_reference
 from repro.load.engine import (
@@ -20,12 +21,14 @@ from repro.load.engine import (
     displacement_edge_loads,
     fft_edge_loads,
 )
+from repro.load.plancache import PlanCache, using_plan_cache
 from repro.load.quantize import (
     LOAD_SNAP_TOLERANCE,
     routing_load_quantum,
     snap_loads,
 )
 from repro.load.traffic import hotspot_traffic_weights
+from repro.obs import Tracer, using_tracer
 from repro.placements.base import Placement
 from repro.placements.fully import single_subtorus_placement
 from repro.placements.linear import linear_placement
@@ -198,6 +201,42 @@ class TestFallbacks:
             placement,
             FaultMaskedRouting(OrderedDimensionalRouting(2), [0]),
         )
+
+
+class TestDriftFallback:
+    """A snap drift at or past the tolerance recomputes the row exactly."""
+
+    @pytest.mark.parametrize(
+        "routing",
+        [OrderedDimensionalRouting(2), UnorderedDimensionalRouting()],
+        ids=["odr", "udr"],
+    )
+    def test_zero_tolerance_routes_every_row_to_displacement(
+        self, monkeypatch, routing
+    ):
+        monkeypatch.setattr(fft_module, "LOAD_SNAP_TOLERANCE", 0.0)
+        torus = Torus(5, 2)
+        placements = [
+            linear_placement(torus),
+            random_placement(torus, 6, seed=3),
+            linear_placement(torus, offset=2),
+            Placement(torus, [0, 1, 7], name="non-coset"),
+        ]
+        expected = np.stack(
+            [displacement_edge_loads(p, routing) for p in placements]
+        )
+        single_tracer = Tracer(label="fft-fallback-single")
+        with using_tracer(single_tracer), using_plan_cache(PlanCache()):
+            backend = FFTBackend()
+            single = np.stack([backend.compute(p, routing) for p in placements])
+        batch_tracer = Tracer(label="fft-fallback-batch")
+        with using_tracer(batch_tracer), using_plan_cache(PlanCache()):
+            batched = FFTBackend().compute_many(placements, routing)
+        assert single.tobytes() == expected.tobytes()
+        assert batched.tobytes() == expected.tobytes()
+        for tracer in (single_tracer, batch_tracer):
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["engine.fft.snap_fallbacks"] == len(placements)
 
 
 class TestAutoOrder:

@@ -1,33 +1,23 @@
-"""Tests for repro.load.plancache — the content-addressed spectral LRU.
+"""Tests for repro.load.plancache — the structurally keyed spectral LRU.
 
 The cache's contract has three independent pieces, each pinned here:
-content addressing (structural fingerprints, never ``id()``), bounded
+structural keys (shape, routing and traffic, never ``id()``), bounded
 LRU residency (recency order, eviction at capacity), and the ambient
 install/restore convention shared with ``using_engine``/``using_tracer``.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import EngineError
 from repro.load.plancache import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_PLAN_CAPACITY,
-    NULL_PLAN_CACHE,
     PlanCache,
     SpectralPlan,
     current_plan_cache,
-    default_batch_size,
-    plan_fingerprint,
-    plan_key,
-    routing_fingerprint,
-    set_default_batch_size,
     set_plan_cache,
     using_plan_cache,
-    warm_worker_plan_cache,
 )
 from repro.obs import Tracer, using_tracer
 from repro.routing.odr import OrderedDimensionalRouting
@@ -35,36 +25,35 @@ from repro.routing.udr import UnorderedDimensionalRouting
 from repro.torus.topology import Torus
 
 
+def _key(torus, routing, traffic="complete-exchange"):
+    return PlanCache().get(torus, routing, traffic).key
+
+
 class TestFingerprints:
+    """The LRU key is the configuration's structure, never ``id()``."""
+
     def test_fingerprint_is_structural_not_identity(self):
-        torus = Torus(4, 2)
-        a = plan_fingerprint(torus, OrderedDimensionalRouting(2))
-        b = plan_fingerprint(Torus(4, 2), OrderedDimensionalRouting(2))
-        assert a == b
-        assert plan_key(a) == plan_key(b)
+        cache = PlanCache()
+        first = cache.get(Torus(4, 2), OrderedDimensionalRouting(2))
+        second = cache.get(Torus(4, 2), OrderedDimensionalRouting(2))
+        assert first is second
+        assert first.key == _key(Torus(4, 2), OrderedDimensionalRouting(2))
 
     def test_fingerprint_separates_configurations(self):
         torus = Torus(4, 2)
-        odr = plan_fingerprint(torus, OrderedDimensionalRouting(2))
-        udr = plan_fingerprint(torus, UnorderedDimensionalRouting())
-        other_shape = plan_fingerprint(Torus(5, 2), OrderedDimensionalRouting(2))
-        weighted = plan_fingerprint(
-            torus, OrderedDimensionalRouting(2), traffic="weighted"
-        )
-        keys = {plan_key(f) for f in (odr, udr, other_shape, weighted)}
-        assert len(keys) == 4
+        odr = _key(torus, OrderedDimensionalRouting(2))
+        udr = _key(torus, UnorderedDimensionalRouting())
+        other_shape = _key(Torus(5, 2), OrderedDimensionalRouting(2))
+        weighted = _key(torus, OrderedDimensionalRouting(2), traffic="weighted")
+        assert len({odr, udr, other_shape, weighted}) == 4
 
     def test_routing_order_lands_in_the_fingerprint(self):
         from repro.routing.dimension_order import DimensionOrderRouting
 
-        forward = routing_fingerprint(DimensionOrderRouting((0, 1, 2)))
-        reversed_ = routing_fingerprint(DimensionOrderRouting((2, 1, 0)))
-        assert forward["order"] != reversed_["order"]
-
-    def test_key_is_canonical_json(self):
-        fingerprint = plan_fingerprint(Torus(3, 2), OrderedDimensionalRouting(2))
-        decoded = json.loads(plan_key(fingerprint))
-        assert decoded == fingerprint
+        torus = Torus(3, 3)
+        forward = _key(torus, DimensionOrderRouting((0, 1, 2)))
+        reversed_ = _key(torus, DimensionOrderRouting((2, 1, 0)))
+        assert forward != reversed_
 
 
 class TestLRU:
@@ -84,13 +73,13 @@ class TestLRU:
         odr = OrderedDimensionalRouting(2)
         a, b, c = Torus(3, 2), Torus(4, 2), Torus(5, 2)
         plan_a = cache.get(a, odr)
-        cache.get(b, odr)
+        plan_b = cache.get(b, odr)
         cache.get(a, odr)  # refresh a -> b is now the LRU entry
         cache.get(c, odr)  # evicts b
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         assert plan_a.key in cache
-        assert plan_key(plan_fingerprint(b, odr)) not in cache
+        assert plan_b.key not in cache
         # b must be rebuilt (a fresh miss), a is still resident
         assert cache.get(a, odr) is plan_a
         misses_before = cache.stats.misses
@@ -100,14 +89,10 @@ class TestLRU:
     def test_keys_in_recency_order(self):
         cache = PlanCache(capacity=4)
         odr = OrderedDimensionalRouting(2)
-        a, b = Torus(3, 2), Torus(4, 2)
-        cache.get(a, odr)
-        cache.get(b, odr)
-        cache.get(a, odr)
-        assert cache.keys() == [
-            plan_key(plan_fingerprint(b, odr)),
-            plan_key(plan_fingerprint(a, odr)),
-        ]
+        plan_a = cache.get(Torus(3, 2), odr)
+        plan_b = cache.get(Torus(4, 2), odr)
+        cache.get(Torus(3, 2), odr)
+        assert cache.keys() == [plan_b.key, plan_a.key]
 
     def test_clear_keeps_the_tallies(self):
         cache = PlanCache()
@@ -138,15 +123,6 @@ class TestLRU:
         assert snapshot["gauges"]["plancache.size"] == 1
 
 
-class TestNullCache:
-    def test_null_cache_never_retains(self):
-        torus, odr = Torus(3, 2), OrderedDimensionalRouting(2)
-        first = NULL_PLAN_CACHE.get(torus, odr)
-        second = NULL_PLAN_CACHE.get(torus, odr)
-        assert first is not second
-        assert first.key == second.key
-
-
 class TestAmbientCache:
     def test_using_plan_cache_installs_and_restores(self):
         outer = current_plan_cache()
@@ -175,36 +151,5 @@ class TestAmbientCache:
             fresh = set_plan_cache(None)
             assert fresh is current_plan_cache()
             assert fresh is not previous
-        finally:
-            set_plan_cache(previous)
-
-
-class TestBatchSize:
-    def test_set_and_reset(self):
-        assert default_batch_size() == DEFAULT_BATCH_SIZE
-        try:
-            assert set_default_batch_size(8) == 8
-            assert default_batch_size() == 8
-        finally:
-            assert set_default_batch_size(None) == DEFAULT_BATCH_SIZE
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(EngineError, match="batch size"):
-            set_default_batch_size(0)
-        assert default_batch_size() == DEFAULT_BATCH_SIZE
-
-
-class TestWorkerWarmup:
-    def test_warm_worker_plan_cache_prebuilds_the_plan(self):
-        previous = current_plan_cache()
-        try:
-            cache = set_plan_cache(PlanCache())
-            routing = OrderedDimensionalRouting(2)
-            warm_worker_plan_cache(4, 2, routing)
-            # the warmed plan answers the key a later lookup asks for
-            assert plan_key(plan_fingerprint(Torus(4, 2), routing)) in cache
-            hits_before = cache.stats.hits
-            cache.get(Torus(4, 2), OrderedDimensionalRouting(2))
-            assert cache.stats.hits == hits_before + 1
         finally:
             set_plan_cache(previous)

@@ -6,8 +6,10 @@ class, and function must carry a docstring.
 """
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,14 @@ class TestExports:
 
     def test_version_matches_metadata(self):
         assert repro.__version__ == "1.0.0"
+
+
+class TestApiIndex:
+    def test_api_md_is_current(self):
+        script = Path(__file__).resolve().parents[2] / "scripts" / "gen_api_docs.py"
+        spec = importlib.util.spec_from_file_location("gen_api_docs", script)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        assert generator.render() == generator.API_MD.read_text(
+            encoding="utf-8"
+        ), "docs/API.md is stale: run python scripts/gen_api_docs.py"
