@@ -33,10 +33,12 @@ def compute_loads(
     """Per-edge loads through the :mod:`repro.load.engine` subsystem.
 
     ``engine`` is a :class:`~repro.load.engine.LoadEngine`, a backend
-    name, or ``None`` for the process-wide default (the ``auto`` engine:
-    vectorized kernels for dimension-order routings and UDR, the
-    displacement-class cache for other translation-invariant routings,
-    the path-enumerating reference otherwise).
+    name, or ``None`` for the process-wide default (the ``auto`` engine,
+    tried in the order vectorized → fft → displacement → reference:
+    vectorized kernels for dimension-order routings and complete-exchange
+    UDR, the fft backend for other translation-invariant routings — one
+    spectral pass on a coset, the displacement-class cache otherwise —
+    and the path-enumerating reference for the rest).
     """
     return resolve_engine(engine).edge_loads(placement, routing)
 

@@ -48,6 +48,9 @@ __all__ = [
 #: code used for files the framework itself cannot parse.
 SYNTAX_ERROR_CODE = "RL000"
 
+#: the line terminators the Python tokenizer splits on.
+_LINE_BREAK_RE = re.compile(rb"\r\n|\r|\n")
+
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s*\(\s*(?P<codes>[A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)\s*\))?"
 )
@@ -93,6 +96,8 @@ class FileContext:
         self.project = project
         self._resolver: "ImportResolver | None" = None
         self._effective_noqa: dict[int, frozenset[str] | None] | None = None
+        self._encoded: bytes | None = None
+        self._line_starts: list[int] = []
 
     @property
     def resolver(self) -> "ImportResolver":
@@ -161,8 +166,27 @@ class FileContext:
         return needle in self.posix_path
 
     def segment(self, node: ast.AST) -> str:
-        """Source text of ``node`` (empty string when unavailable)."""
-        return ast.get_source_segment(self.source, node) or ""
+        """Source text of ``node`` (empty string when unavailable).
+
+        The same text :func:`ast.get_source_segment` returns, sliced from
+        line offsets computed once per file rather than re-splitting the
+        whole source on every call (AST columns are UTF-8 byte offsets).
+        """
+        span = [
+            getattr(node, attr, None)
+            for attr in ("lineno", "col_offset", "end_lineno", "end_col_offset")
+        ]
+        if None in span:
+            return ""
+        lineno, col, end_lineno, end_col = span
+        if self._encoded is None:
+            self._encoded = self.source.encode()
+            self._line_starts = [0] + [
+                m.end() for m in _LINE_BREAK_RE.finditer(self._encoded)
+            ]
+        starts = self._line_starts
+        start = starts[lineno - 1] + col
+        return self._encoded[start : starts[end_lineno - 1] + end_col].decode()
 
 
 class Rule(abc.ABC):

@@ -243,15 +243,14 @@ def displacement_edge_loads(
 class DisplacementBackend(LoadBackend):
     """Serial backend built on :class:`DisplacementPathCache`.
 
-    Caches templates per ``(torus, routing)`` pair across calls, so
-    sweeps that re-analyze the same configuration pay the path
-    enumerations once.
+    Templates come from the ambient plan cache
+    (:func:`repro.load.plancache.current_plan_cache`), shared with the
+    FFT backend and keyed by the configuration's structure, so sweeps
+    that re-analyze the same configuration pay the path enumerations
+    once.
     """
 
     name = "displacement"
-
-    def __init__(self):
-        self._caches: dict[tuple[Torus, int], DisplacementPathCache] = {}
 
     def supports(
         self,
@@ -267,11 +266,10 @@ class DisplacementBackend(LoadBackend):
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        key = (placement.torus, id(routing))
-        cache = self._caches.get(key)
-        if cache is None or cache.routing is not routing:
-            cache = DisplacementPathCache(placement.torus, routing)
-            self._caches[key] = cache
+        # deferred: repro.load.plancache imports this module.
+        from repro.load.plancache import current_plan_cache
+
+        plan = current_plan_cache().get(placement.torus, routing)
         return displacement_edge_loads(
-            placement, routing, pair_weights=pair_weights, cache=cache
+            placement, routing, pair_weights=pair_weights, cache=plan.path_cache
         )

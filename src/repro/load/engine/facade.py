@@ -17,8 +17,9 @@ Backends by name:
     routing, weighted traffic included.
 ``fft``
     Spectral circular correlation over :math:`Z_k^d` with integer
-    snap-back; any translation-invariant routing, all edges in one
-    ``rfftn`` pass.
+    snap-back: a complete-exchange coset costs one ``rfftn`` pass for
+    all edges; any other translation-invariant configuration is
+    delegated to the displacement evaluation.
 ``auto``
     Pick the fastest applicable serial backend per call:
     vectorized → fft → displacement → reference.
@@ -185,7 +186,6 @@ class LoadEngine:
         placements: "Iterable[Placement]",
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
-        batch_size: int = BLOCK_SIZE,
     ) -> np.ndarray:
         """Per-edge loads of a placement batch; ``(B, num_edges)``.
 
@@ -193,10 +193,10 @@ class LoadEngine:
         bit-identical to ``edge_loads(placements[b], ...)`` after the
         quantize snap-back — the FFT backend resolves cosets of one
         subgroup with a single stacked ``rfftn``/inverse pair against
-        the plan cache's usage spectrum, other backends fall back to the
-        sequential loop.  The batch is evaluated in blocks of
-        ``batch_size`` placements (default :data:`BLOCK_SIZE`); realized
-        block sizes land on the ``engine.batch_size`` histogram.
+        the plan cache's usage spectrum, other rows and backends take
+        the sequential loop.  The batch is evaluated in blocks of
+        :data:`BLOCK_SIZE` placements; realized block sizes land on the
+        ``engine.batch_size`` histogram.
         """
         placements = list(placements)
         if not placements:
@@ -209,13 +209,11 @@ class LoadEngine:
                     f"got {torus} and {placement.torus}"
                 )
         backend = self.backend_for(placements[0], routing, pair_weights)
-        if batch_size < 1:
-            raise EngineError(f"batch_size must be >= 1, got {batch_size}")
 
         def run() -> np.ndarray:
             blocks = []
-            for lo in range(0, len(placements), batch_size):
-                chunk = placements[lo : lo + batch_size]
+            for lo in range(0, len(placements), BLOCK_SIZE):
+                chunk = placements[lo : lo + BLOCK_SIZE]
                 metrics.histogram("engine.batch_size").observe(len(chunk))
                 blocks.append(
                     backend.compute_many(
@@ -254,12 +252,10 @@ class LoadEngine:
         placements: "Iterable[Placement]",
         routing: RoutingAlgorithm,
         pair_weights: np.ndarray | None = None,
-        batch_size: int = BLOCK_SIZE,
     ) -> np.ndarray:
         """:math:`E_{max}` per batch member; ``float64`` of length ``B``."""
         loads = self.edge_loads_many(
-            placements, routing, pair_weights=pair_weights,
-            batch_size=batch_size,
+            placements, routing, pair_weights=pair_weights
         )
         return loads.max(axis=1, initial=0.0)
 

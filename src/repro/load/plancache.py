@@ -1,17 +1,20 @@
 """Spectral plan cache — shared warm state for the FFT load backend.
 
 The FFT backend's per-call cost splits into two parts: work that depends
-only on the *configuration* ``(torus shape, routing, traffic)`` —
-displacement path templates, class tables, forward usage spectra — and
-work that depends on the *placement* — one indicator transform, one
-product, one inverse transform.
+only on the *configuration* ``(torus shape, routing)`` — displacement
+path templates and forward usage spectra — and work that depends on the
+*placement* — one indicator transform, one product, one inverse
+transform.
 
 This module keeps the first part in a process-wide bounded LRU.  Its key
 is a plain tuple of the configuration's structure: torus shape, routing
-class, routing name, dimension order and traffic label.  Two routing
-*instances* with the same structure share one plan, since ``id()`` never
-appears in a key.  Plans are never persisted and never sent between
-processes: a pool worker builds its own plan on first use.
+class, routing name and dimension order.  Two routing *instances* with
+the same structure share one plan, since ``id()`` never appears in a
+key.  Traffic is not part of the key: path templates do not depend on
+it, so weighted calls and the displacement backend share the
+complete-exchange plan's template cache.  Plans are never persisted and
+never sent between processes: a pool worker builds its own plan on
+first use.
 
 The ambient-policy convention mirrors ``using_engine`` /
 ``using_exec_policy`` / ``using_tracer``: instrumented code asks
@@ -51,23 +54,18 @@ __all__ = [
 #: plans kept by the default LRU before the least-recently-used rolls off.
 DEFAULT_PLAN_CAPACITY = 32
 
-#: per-plan bound on memoized class tables / spectra entries (cleared
-#: wholesale when full).
+#: per-plan bound on memoized spectra entries (cleared wholesale when
+#: full).
 MAX_PLAN_ENTRIES = 64
 
 
-def _config_key(
-    torus: Torus, routing: RoutingAlgorithm, traffic: str
-) -> tuple:
+def _config_key(torus: Torus, routing: RoutingAlgorithm) -> tuple:
     """The LRU key of one configuration: ``(shape, routing class, routing
-    name, dimension order, traffic)``.
+    name, dimension order)``.
 
     The dimension order covers the dimension-order family; together with
     the class and report name it determines the path set of every
-    displacement class for the routings the engine accepts.  ``traffic``
-    is a label, not a tensor: weighted traffic reuses only the
-    traffic-independent parts of a plan, so ``"weighted"`` keys a
-    separate plan from the complete-exchange one.
+    displacement class for the routings the engine accepts.
     """
     order = getattr(routing, "order", None)
     return (
@@ -75,7 +73,6 @@ def _config_key(
         type(routing).__name__,
         routing.name,
         None if order is None else tuple(int(i) for i in order),
-        traffic,
     )
 
 
@@ -83,19 +80,14 @@ def _config_key(
 
 
 class SpectralPlan:
-    """The reusable spectral state of one ``(torus, routing, traffic)``.
+    """The reusable spectral state of one ``(torus, routing)``.
 
     Holds the displacement path-template cache plus two memo layers the
     FFT backend fills lazily (values are opaque to this module):
-
-    ``class_tables``
-        displacement-class tables and their integer denominator groups,
-        keyed by the sorted class-code bytes — placement-independent, so
-        every placement sharing a difference set shares one entry;
-    ``spectra``
-        forward usage-tensor spectra per class-code key (uniform-regime
-        placements only), and ``placement_spectra`` aliases them per
-        placement id-bytes so warm repeat calls skip the pair pass.
+    ``spectra`` holds the forward usage-tensor spectra of coset
+    placements per difference-set key (the sorted class-code bytes), and
+    ``placement_spectra`` aliases them per placement id-bytes so warm
+    repeat calls skip the pair pass.
     """
 
     def __init__(
@@ -105,15 +97,13 @@ class SpectralPlan:
         self.routing = routing
         self.key = key
         self.path_cache = DisplacementPathCache(torus, routing)
-        self.class_tables: Dict[bytes, Any] = {}
         self.spectra: Dict[bytes, Any] = {}
         self.placement_spectra: Dict[bytes, Any] = {}
 
     def __repr__(self) -> str:
         return (
             f"SpectralPlan(shape={self.torus.shape}, "
-            f"routing={self.routing.name!r}, "
-            f"tables={len(self.class_tables)}, spectra={len(self.spectra)})"
+            f"routing={self.routing.name!r}, spectra={len(self.spectra)})"
         )
 
 
@@ -157,14 +147,9 @@ class PlanCache:
 
     # ------------------------------------------------------------- lookup
 
-    def get(
-        self,
-        torus: Torus,
-        routing: RoutingAlgorithm,
-        traffic: str = "complete-exchange",
-    ) -> SpectralPlan:
+    def get(self, torus: Torus, routing: RoutingAlgorithm) -> SpectralPlan:
         """The plan for this configuration, built on first request."""
-        key = _config_key(torus, routing, traffic)
+        key = _config_key(torus, routing)
         metrics = current_tracer().metrics
         plan = self._plans.get(key)
         if plan is not None:

@@ -94,10 +94,10 @@ def _evaluate_chunk_batched(
     args,
 ) -> tuple[float, tuple[int, ...], int, dict[float, int]]:
     """Batched worker: same contract as :func:`_evaluate_chunk`, but the
-    id-tuples are evaluated in placement blocks through the engine's
-    ``emax_many`` — one stacked spectral transform per block against the
-    plan-cached usage spectrum, bit-identical to the oracle after the
-    integer snap-back."""
+    id-tuples are evaluated in placement blocks through the ``auto``
+    engine's ``emax_many``.  Almost every k-subset is a non-coset, so
+    ``auto`` serves them with the vectorized ODR kernel, bit-identical
+    to the oracle."""
     k, d, chunk = args
     # deferred: repro.load's package init imports this module via
     # repro.placements before the engine subpackage finishes loading.
@@ -106,7 +106,7 @@ def _evaluate_chunk_batched(
     from repro.routing.odr import OrderedDimensionalRouting
 
     torus = Torus(k, d)
-    engine = LoadEngine("fft")
+    engine = LoadEngine("auto")
     routing = OrderedDimensionalRouting(d)
     best: float | None = None
     best_ids: tuple[int, ...] | None = None

@@ -7,12 +7,14 @@ the self-check that the repo's own sources are clean.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.devtools.lint import (
     SYNTAX_ERROR_CODE,
+    FileContext,
     all_rules,
     lint_file,
     lint_paths,
@@ -891,6 +893,17 @@ class TestFramework:
         assert run(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "RL001" in out and "RL007" in out
+
+    def test_segment_matches_get_source_segment(self):
+        # CRLF, a bare CR and multi-byte characters: AST columns are
+        # UTF-8 byte offsets, and every Python line terminator counts.
+        source = "x = 'é'\r\ny = (1 +\r\n     2)\rz = 'ü' + f(\n  'ß')\n"
+        tree = ast.parse(source)
+        ctx = FileContext(Path("mod.py"), source, tree)
+        for node in ast.walk(tree):
+            assert ctx.segment(node) == (
+                ast.get_source_segment(source, node) or ""
+            ), ast.dump(node)
 
 
 class TestSelfCheck:

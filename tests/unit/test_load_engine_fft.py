@@ -162,11 +162,20 @@ class TestRegimes:
 
     def test_general_regime_for_non_coset_placement(self):
         # 3 collinear-free nodes: |P - P| > |P|, so the coset fast path
-        # must not trigger and the chunked general path must be exact.
+        # must not trigger and the row is delegated to the displacement
+        # evaluation, byte for byte.
         torus = Torus(5, 2)
         placement = Placement(torus, [0, 1, 7], name="non-coset")
         for routing in _routings(2):
             _assert_bit_identical(placement, routing)
+            tracer = Tracer(label="fft-delegation")
+            with using_tracer(tracer), using_plan_cache(PlanCache()):
+                got = FFTBackend().compute(placement, routing)
+            expected = displacement_edge_loads(placement, routing)
+            assert got.tobytes() == expected.tobytes(), routing.name
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["engine.fft.general_path"] == 1
+            assert "engine.fft.fast_path" not in counters
 
     def test_empty_pair_set(self):
         torus = Torus(4, 2)
@@ -236,7 +245,10 @@ class TestDriftFallback:
         assert batched.tobytes() == expected.tobytes()
         for tracer in (single_tracer, batch_tracer):
             counters = tracer.metrics.snapshot()["counters"]
-            assert counters["engine.fft.snap_fallbacks"] == len(placements)
+            # the two cosets drift past the zero tolerance; the two
+            # non-cosets never enter the spectral path.
+            assert counters["engine.fft.snap_fallbacks"] == 2
+            assert counters["engine.fft.general_path"] == 2
 
 
 class TestAutoOrder:

@@ -1,16 +1,18 @@
 """Tests for repro.load.plancache — the structurally keyed spectral LRU.
 
 The cache's contract has three independent pieces, each pinned here:
-structural keys (shape, routing and traffic, never ``id()``), bounded
+structural keys (shape and routing, never ``id()``), bounded
 LRU residency (recency order, eviction at capacity), and the ambient
 install/restore convention shared with ``using_engine``/``using_tracer``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import EngineError
+from repro.load.engine import DisplacementBackend, FFTBackend
 from repro.load.plancache import (
     DEFAULT_PLAN_CAPACITY,
     PlanCache,
@@ -20,13 +22,14 @@ from repro.load.plancache import (
     using_plan_cache,
 )
 from repro.obs import Tracer, using_tracer
+from repro.placements.random_placement import random_placement
 from repro.routing.odr import OrderedDimensionalRouting
 from repro.routing.udr import UnorderedDimensionalRouting
 from repro.torus.topology import Torus
 
 
-def _key(torus, routing, traffic="complete-exchange"):
-    return PlanCache().get(torus, routing, traffic).key
+def _key(torus, routing):
+    return PlanCache().get(torus, routing).key
 
 
 class TestFingerprints:
@@ -44,8 +47,37 @@ class TestFingerprints:
         odr = _key(torus, OrderedDimensionalRouting(2))
         udr = _key(torus, UnorderedDimensionalRouting())
         other_shape = _key(Torus(5, 2), OrderedDimensionalRouting(2))
-        weighted = _key(torus, OrderedDimensionalRouting(2), traffic="weighted")
-        assert len({odr, udr, other_shape, weighted}) == 4
+        assert len({odr, udr, other_shape}) == 3
+
+    def test_weighted_calls_share_the_complete_exchange_plan(self):
+        # path templates do not depend on traffic: a weighted call reuses
+        # the plan (and its templates) a complete-exchange call built.
+        cache = PlanCache()
+        torus, routing = Torus(4, 2), OrderedDimensionalRouting(2)
+        placement = random_placement(torus, 5, seed=3)
+        weights = np.ones((5, 5)) - np.eye(5)
+        with using_plan_cache(cache):
+            FFTBackend().compute(placement, routing)
+            templates = len(cache.get(torus, routing).path_cache)
+            FFTBackend().compute(placement, routing, pair_weights=weights)
+        assert len(cache) == 1
+        assert len(cache.get(torus, routing).path_cache) == templates
+        assert cache.stats.misses == 1
+
+    def test_displacement_backend_uses_the_ambient_plan(self):
+        # one template store: the displacement backend reads and fills
+        # the same plan's template cache the FFT backend uses.
+        cache = PlanCache()
+        torus, routing = Torus(4, 2), OrderedDimensionalRouting(2)
+        placement = random_placement(torus, 5, seed=3)
+        with using_plan_cache(cache):
+            DisplacementBackend().compute(placement, routing)
+            templates = len(cache.get(torus, routing).path_cache)
+            FFTBackend().compute(placement, routing)
+        assert templates > 0
+        assert len(cache) == 1
+        assert len(cache.get(torus, routing).path_cache) == templates
+        assert cache.stats.misses == 1
 
     def test_routing_order_lands_in_the_fingerprint(self):
         from repro.routing.dimension_order import DimensionOrderRouting
