@@ -1280,10 +1280,12 @@ class PerPlacementLoopEval(Rule):
     A loop in :mod:`repro.placements` or :mod:`repro.experiments` that
     calls a full load evaluator (``edge_loads`` / ``emax`` / the
     module-level ``*_edge_loads`` functions) once per placement pays the
-    spectral-plan setup once per call; the batched facade
+    backend dispatch once per placement; the batched facade
     (:meth:`repro.load.engine.LoadEngine.edge_loads_many` /
-    ``emax_many``) amortizes one stacked transform over the whole block
-    and is bit-identical after the integer snap-back.  Loops that build
+    ``emax_many``) dispatches once for the whole batch.  On the ``fft``
+    backend, complete-exchange coset rows get one stacked spectral
+    transform per block (bit-identical after the integer snap-back);
+    every other row is still evaluated once per placement.  Loops that build
     a :class:`~repro.torus.topology.Torus` in their body are per-torus
     sweeps — a batch cannot span tori, so they are exempt.  Reference
     oracles certify themselves with ``# repro: noqa(RL016)``.
@@ -1343,9 +1345,11 @@ class PerPlacementLoopEval(Rule):
                     node,
                     f"per-placement `{name}` call inside a loop — batch "
                     "the placements and route through "
-                    "`LoadEngine.edge_loads_many`/`emax_many` (one stacked "
-                    "spectral transform per block, bit-identical after "
-                    "snap-back), or suppress with `# repro: noqa(RL016)` "
+                    "`LoadEngine.edge_loads_many`/`emax_many` (one dispatch "
+                    "per batch; on the `fft` backend complete-exchange "
+                    "coset rows get one stacked spectral transform, other "
+                    "rows are evaluated once per placement), or suppress "
+                    "with `# repro: noqa(RL016)` "
                     "if this site is deliberately per-placement",
                 )
 

@@ -41,13 +41,16 @@ incrementally along the prefix tree via
 leaf, with all surviving variants grown in one batched call; the engine
 performs *zero* from-scratch placement evaluations.
 Because loads only ever increase as processors are added, the partial
-:math:`E_{max}` of a prefix lower-bounds every completion, and Lemma 1
-gives a second, routing-independent bound
-:math:`2|S|(|P|-|S|)/|∂S|` from the prefix's separator.  In ``bound``
-mode any subtree (or individual variant) whose bound strictly exceeds
-the incumbent is pruned — exact for the minimum and ``num_optimal``
-(achievers are never pruned), while the full histogram is only produced
-in ``full`` mode, which disables pruning.
+:math:`E_{max}` of a prefix lower-bounds every completion.  In ``bound``
+mode any subtree (or individual variant) whose partial :math:`E_{max}`
+strictly exceeds the incumbent is pruned — exact for the minimum and
+``num_optimal`` (achievers are never pruned), while the full histogram
+is only produced in ``full`` mode, which disables pruning.  The search
+does not apply Lemma 1's separator bound
+:math:`2|S|(|P|-|S|)/|∂S|` to prefixes: that bound is tight only near a
+half-split, and it never cut a subtree in any measured run.  Each
+candidate prefix is tested for canonicity once; a sharded run adds one
+test per subtree root to recover the root's stabilizer order.
 
 Subtree roots can be sharded over a process pool (group tables built
 once per worker by the pool initializer); per-worker
@@ -70,10 +73,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.bisection.separator import separator_size
 from repro.errors import ExecutionError, InvalidParameterError, SearchError
 from repro.exec import CheckpointJournal, ExecTask, ResilientExecutor
-from repro.load.formulas import separator_lower_bound
 from repro.load.odr_loads import odr_edge_loads_add_delta
 from repro.obs.console import progress as _progress_line
 from repro.obs.tracer import current_tracer
@@ -130,7 +131,8 @@ class SearchCounters:
         Subtrees cut because every variant's monotone partial
         :math:`E_{max}` exceeded the incumbent.
     subtrees_pruned_separator:
-        Subtrees cut by the Lemma 1 separator bound.
+        Always 0: the search applies no separator bound to prefixes.
+        Kept for compatibility with readers of the counters.
     variants_dropped:
         Individual variants retired early (their partial :math:`E_{max}`
         alone exceeded the incumbent).
@@ -268,15 +270,17 @@ class _SearchContext:
         loads = np.zeros(
             (self.num_variants, self.torus.num_edges), dtype=np.float64
         )
-        # rebuild the prefix's incremental loads (workers receive ids only)
-        ids: tuple[int, ...] = ()
         stab = self.group.order
-        for node in root:
-            alive, loads, stab = self._grow(ids, alive, loads, node)
-            ids += (node,)
+        if root:
+            canonical, stab = self.group.canonicity(root)
+            if not canonical:
+                raise SearchError(f"subtree root {root} is not canonical")
+        # rebuild the prefix's incremental loads (workers receive ids only)
+        for m, node in enumerate(root):
+            alive, loads = self._grow(root[:m], alive, loads, node)
             if alive.size == 0:
                 return self.take_partial()
-        self._descend(ids, alive, loads, stab, frontier=None)
+        self._descend(root, alive, loads, stab, frontier=None)
         return self.take_partial()
 
     def collect_frontier(self, depth: int) -> tuple[list[tuple[int, ...]], dict]:
@@ -297,16 +301,13 @@ class _SearchContext:
         alive: np.ndarray,
         loads: np.ndarray,
         node: int,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Extend every surviving variant's loads by one grown node.
 
-        Returns the (possibly reduced) alive variant rows, their new load
-        vectors, and the stabilizer order of the extended prefix.
+        Returns the (possibly reduced) alive variant rows and their new
+        load vectors.  The caller has already tested the extended prefix
+        for canonicity.
         """
-        child = np.array(ids + (node,), dtype=np.int64)
-        canonical, stab = self.group.canonicity(child)
-        if not canonical:  # pragma: no cover - roots are always canonical
-            raise SearchError(f"prefix {tuple(child)} is not canonical")
         m = len(ids)
         prefix = np.array(ids, dtype=np.int64)
         # one batched kernel call grows every surviving variant at once
@@ -326,7 +327,7 @@ class _SearchContext:
                 self.counters["variants_dropped"] += dropped
                 alive = alive[keep]
                 new_loads = new_loads[keep]
-        return alive, new_loads, stab
+        return alive, new_loads
 
     def _descend(
         self,
@@ -352,21 +353,7 @@ class _SearchContext:
             if not canonical:
                 continue
             self.counters["canonical_nodes"] += 1
-            grown = m + 1
-            if (
-                self.mode == "bound"
-                and grown < self.size
-                and math.isfinite(self.incumbent)
-            ):
-                # Lemma 1 on the prefix: every completion still exchanges
-                # 2·m·(n-m) messages across the prefix's separator.
-                bound = separator_lower_bound(
-                    grown, self.size, separator_size(self.torus, child)
-                )
-                if bound > self.incumbent + _TOL:
-                    self.counters["subtrees_pruned_separator"] += 1
-                    continue
-            child_alive, child_loads, _ = self._grow(ids, alive, loads, node)
+            child_alive, child_loads = self._grow(ids, alive, loads, node)
             if child_alive.size == 0:
                 self.counters["subtrees_pruned_emax"] += 1
                 continue
@@ -423,9 +410,6 @@ class _SearchContext:
         def tally(key: str) -> int:
             return self.lifetime[key] + self.counters[key]
 
-        pruned = tally("subtrees_pruned_emax") + tally(
-            "subtrees_pruned_separator"
-        )
         incumbent = (
             "inf" if math.isinf(self.incumbent) else f"{self.incumbent:g}"
         )
@@ -433,7 +417,8 @@ class _SearchContext:
             f"exact-search T_{self.torus.k}^{self.torus.d} n={self.size}: "
             f"{tally('leaf_orbits')} leaf orbits, "
             f"{tally('canonical_nodes')} nodes expanded, "
-            f"{pruned} subtrees pruned, incumbent E_max {incumbent}"
+            f"{tally('subtrees_pruned_emax')} subtrees pruned, "
+            f"incumbent E_max {incumbent}"
         )
 
 
@@ -761,9 +746,6 @@ def exact_global_minimum(
         )
         metrics.counter("search.subtrees_pruned_emax").add(
             counters["subtrees_pruned_emax"]
-        )
-        metrics.counter("search.subtrees_pruned_separator").add(
-            counters["subtrees_pruned_separator"]
         )
         metrics.counter("search.variants_dropped").add(
             counters["variants_dropped"]

@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import multiprocessing
 
 import pytest
 
+from repro.bisection import separator
 from repro.errors import InvalidParameterError, SearchError
 from repro.load.odr_loads import odr_edge_loads
+from repro.placements import exact_search
 from repro.placements.catalog import global_minimum_emax
 from repro.placements.exact_search import exact_global_minimum
 from repro.placements.linear import linear_placement
-from repro.placements.symmetry import automorphism_group
+from repro.placements.symmetry import AutomorphismGroup, automorphism_group
 from repro.torus.topology import Torus
 
 
@@ -157,6 +160,118 @@ class TestCounters:
         assert result.minimum_emax == 2.0
         assert result.num_optimal == 1545
         assert result.example_optimal.node_ids.tolist() == [0, 1, 5, 6, 18]
+
+    def test_t6_bound_counters_pinned(self):
+        # the even-k search (all 8 point-group variants per orbit): every
+        # count, the minimum and the witness are pinned so that changes to
+        # the symmetry layer cannot silently move the search
+        result = exact_global_minimum(Torus(6, 2), 6)
+        assert dataclasses.asdict(result.counters) == {
+            "canonicity_checks": 9570,
+            "canonical_nodes": 3743,
+            "leaf_orbits": 93,
+            "variant_evaluations": 306,
+            "pair_updates": 179260,
+            "full_evaluations": 0,
+            "subtrees_pruned_emax": 2880,
+            "subtrees_pruned_separator": 0,
+            "variants_dropped": 16070,
+        }
+        assert result.minimum_emax == 2.0
+        assert result.num_optimal == 24
+        assert result.example_optimal.node_ids.tolist() == [
+            0, 2, 12, 16, 26, 28,
+        ]
+
+
+def _subtree_roots(torus, size):
+    """The canonical subtree roots a sharded bound-mode search fans out."""
+    upper, _ = exact_search.screen_initial_upper_bound(torus, size)
+    context = exact_search._SearchContext(torus, size, "bound", upper)
+    depth = min(exact_search._SPLIT_DEPTH, size - 1)
+    frontier, _ = context.collect_frontier(depth)
+    return frontier
+
+
+class TestOneCanonicityTestPerNode:
+    """Each tree node is tested once; no separator is ever counted."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch, tmp_path):
+        """Wrap ``canonicity`` and ``separator_size`` with call logs.
+
+        Calls append to per-name files, so forked pool workers (which
+        inherit the patch) are counted too.
+        """
+        original_canonicity = AutomorphismGroup.canonicity
+        original_separator = separator.separator_size
+
+        def log(name):
+            with open(tmp_path / name, "a") as handle:
+                handle.write(".")
+
+        def canonicity(self, node_ids):
+            log("canonicity")
+            return original_canonicity(self, node_ids)
+
+        def separator_size(*args, **kwargs):
+            log("separator")
+            return original_separator(*args, **kwargs)
+
+        monkeypatch.setattr(AutomorphismGroup, "canonicity", canonicity)
+        monkeypatch.setattr(separator, "separator_size", separator_size)
+        monkeypatch.setattr(
+            exact_search, "separator_size", separator_size, raising=False
+        )
+
+        def count(name):
+            path = tmp_path / name
+            return len(path.read_text()) if path.exists() else 0
+
+        return count
+
+    def test_serial_search_checks_each_candidate_once(self, calls):
+        result = exact_global_minimum(Torus(5, 2), 5)
+        assert calls("canonicity") == result.counters.canonicity_checks
+        assert calls("separator") == 0
+
+    @pytest.mark.parametrize(
+        "sharding",
+        [
+            "checkpoint",
+            pytest.param(
+                "processes",
+                marks=pytest.mark.skipif(
+                    multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="workers inherit the call-log patch only when "
+                    "forked",
+                ),
+            ),
+        ],
+    )
+    def test_sharded_search_adds_one_check_per_root(
+        self, calls, tmp_path, sharding
+    ):
+        torus = Torus(5, 2)
+        roots = _subtree_roots(torus, 5)
+        kwargs = (
+            {"checkpoint": str(tmp_path / "run.jsonl")}
+            if sharding == "checkpoint"
+            else {"processes": 2}
+        )
+        before = calls("canonicity")
+        result = exact_global_minimum(torus, 5, **kwargs)
+        assert roots
+        assert (
+            calls("canonicity") - before
+            == result.counters.canonicity_checks + len(roots)
+        )
+        assert calls("separator") == 0
+
+    def test_non_canonical_root_raises(self):
+        context = exact_search._SearchContext(Torus(5, 2), 5, "bound", 2.0)
+        with pytest.raises(SearchError, match="not canonical"):
+            context.run_root((1, 2))
 
 
 class TestParallel:
