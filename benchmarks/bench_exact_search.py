@@ -1,7 +1,7 @@
 """Benchmark the exact-search engine against the brute-force catalog.
 
 Three runs of the same certification problem (all ``C(16, 4)`` placements
-on ``T_4^2``) trace the ISSUE-3 speed-up story:
+on ``T_4^2``) trace the speed-up story:
 
 * **brute force** — ``catalog.global_minimum_emax``: one full
   ``O(|P|^2)`` evaluation per candidate, 1820 total;
@@ -9,7 +9,7 @@ on ``T_4^2``) trace the ISSUE-3 speed-up story:
   orbit enumeration with incremental loads, zero full evaluations, exact
   histogram;
 * **symmetry + B&B** — ``exact_global_minimum(mode="bound")``: adds
-  monotone-``E_max``/Lemma-1 pruning, exact minimum and count.
+  monotone partial-``E_max`` pruning, exact minimum and count.
 
 All three must agree bit-for-bit; the engines must perform at least 20x
 fewer full placement evaluations than the brute force (they perform

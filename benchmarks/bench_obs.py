@@ -3,7 +3,7 @@
 The telemetry charter (`docs/OBSERVABILITY.md`) promises that tracing is
 free when nobody asked for it and cheap when they did.  This suite pins
 both halves on the EXP-22-style workload — a serial bound-mode
-certification of all ``C(25, 5)`` placements on ``T_5^2``:
+certification of all ``C(36, 6)`` placements on ``T_6^2``:
 
 * **disabled** — with no tracer installed every instrumentation site
   dispatches to ``NULL_TRACER``/``_NULL_SPAN``; a micro-benchmark of
@@ -26,7 +26,7 @@ from repro.obs import JsonlTraceSink, Tracer, current_tracer, using_tracer
 from repro.placements.exact_search import exact_global_minimum
 from repro.torus.topology import Torus
 
-K, D, SIZE = 5, 2, 5
+K, D, SIZE = 6, 2, 6
 
 #: enabled / disabled wall-clock ratio pin.
 MAX_ENABLED_RATIO = 1.10

@@ -61,7 +61,9 @@ serially in-process), and a :class:`repro.exec.CheckpointJournal` of
 completed subtree roots makes multi-hour certifications restartable:
 ``repro certify --checkpoint run.jsonl`` followed by ``--resume`` skips
 every journaled root and merges its stored partial accumulators instead
-of re-searching the subtree.
+of re-searching the subtree.  A traced search, serial or sharded, opens
+one ``search.subtree`` span per subtree root (the prefixes at the
+sharding depth), annotated with the leaf orbits found under it.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ __all__ = [
     "MAX_EXACT_SEARCH",
 ]
 
-#: refuse exact certification beyond this many candidate placements.
+#: refuse exact certification when the orbit estimate
+#: ``⌈C(k^d, n)/|G|⌉`` exceeds this many orbits.
 MAX_EXACT_SEARCH = 1_000_000_000
 
 #: split depth for process-pool sharding (subtree roots at this prefix size).
@@ -213,6 +216,12 @@ class _SearchContext:
         self.mode = mode
         self.progress = progress
         self._last_heartbeat = time.monotonic()
+        # a traced search opens one span per subtree root at the sharding
+        # depth; untraced, no prefix length matches and no span is opened.
+        self._tracer = current_tracer()
+        self._span_depth = (
+            min(_SPLIT_DEPTH, size - 1) if self._tracer.enabled else -1
+        )
         self.group = automorphism_group(torus)
         self.coords = torus.all_node_coords()
         d = torus.d
@@ -344,6 +353,29 @@ class _SearchContext:
         if frontier is not None and m == frontier[0]:
             frontier[1].append(ids)
             return
+        if m == self._span_depth:
+            before = self.counters["leaf_orbits"]
+            with self._tracer.span(
+                "search.subtree", root=_root_task_id(ids)
+            ) as span:
+                self._expand(ids, alive, loads, stab, frontier)
+                span.annotate(
+                    leaf_orbits=self.counters["leaf_orbits"] - before
+                )
+        else:
+            self._expand(ids, alive, loads, stab, frontier)
+
+    def _expand(
+        self,
+        ids: tuple[int, ...],
+        alive: np.ndarray,
+        loads: np.ndarray,
+        stab: int,
+        frontier: tuple[int, list[tuple[int, ...]]] | None,
+    ) -> None:
+        """Test every candidate child of a prefix and descend into the
+        canonical, unpruned ones."""
+        m = len(ids)
         num_nodes = self.torus.num_nodes
         lower = ids[-1] + 1 if ids else 0
         for node in range(lower, num_nodes - (self.size - m) + 1):
@@ -626,8 +658,12 @@ def exact_global_minimum(
     Raises
     ------
     InvalidParameterError
-        For an invalid size/mode, a search space beyond
-        :data:`MAX_EXACT_SEARCH`, or ``resume`` without ``checkpoint``.
+        For an invalid size/mode, an orbit estimate
+        :math:`\\lceil C(k^d, n)/|G| \\rceil` beyond
+        :data:`MAX_EXACT_SEARCH`, a torus too large for the bitmask
+        canonicity table (see
+        :meth:`~repro.placements.symmetry.AutomorphismGroup.canonicity`),
+        or ``resume`` without ``checkpoint``.
     SearchError
         If the orbit accounting fails its :math:`C(k^d, n)` cross-check
         (``full`` mode), no placement beats ``initial_upper_bound``, or
@@ -642,10 +678,14 @@ def exact_global_minimum(
             f"size must satisfy 1 <= size <= {torus.num_nodes}, got {size}"
         )
     space = math.comb(torus.num_nodes, size)
-    if space > MAX_EXACT_SEARCH:
+    # |G| = k^d·d!·2^d, without building the group's tables
+    group_order = torus.num_nodes * math.factorial(torus.d) * 2**torus.d
+    orbits = -(-space // group_order)
+    if orbits > MAX_EXACT_SEARCH:
         raise InvalidParameterError(
-            f"C({torus.num_nodes}, {size}) = {space} placements exceeds the "
-            f"exact-search limit {MAX_EXACT_SEARCH}"
+            f"C({torus.num_nodes}, {size}) = {space} placements form about "
+            f"⌈{space}/{group_order}⌉ = {orbits} orbits, beyond the "
+            f"exact-search limit of {MAX_EXACT_SEARCH} orbits"
         )
     if resume and checkpoint is None:
         raise InvalidParameterError("resume=True requires a checkpoint path")

@@ -17,6 +17,17 @@ matrix as array ops, so canonicalizing a placement never materializes a
 :class:`Placement` per group element, and orbit sizes come exactly from
 stabilizer counting (orbit–stabilizer theorem).
 
+The exact search's hot question — is this set its orbit's lex-least
+member, and what is its stabilizer? — is answered on image *bitmasks*
+rather than sorted images.  Node ``x`` is bit ``N-1-x`` of an
+``N = k^d``-bit mask held in ``W = ⌈N/64⌉`` uint64 words, most
+significant word first, so a lex-smaller sorted image is exactly a
+larger mask: the set is canonical iff its own mask is the largest of
+its :math:`|G|` image masks, and :math:`|\\mathrm{Stab}|` is the number
+of images equal to it.  The sorted-image path
+(:meth:`AutomorphismGroup.sorted_images`) stays as the oracle and still
+computes canonical forms.
+
 One caution for consumers: only *translations* leave the restricted-ODR
 load profile invariant.  Dimension permutations re-order the correction
 sequence and reflections flip the even-``k`` tie-break, so :math:`E_{max}`
@@ -45,6 +56,13 @@ __all__ = [
     "AutomorphismGroup",
     "automorphism_group",
 ]
+
+
+#: largest translation bit table the bitmask canonicity test may build.
+#: The table holds k^d·k^d·⌈k^d/64⌉ words, about (k^d)³/8 bytes: 10 KB at
+#: T_6², 128 MB at T_10³ and 8.6 GB at T_16³, so tori beyond about 1,290
+#: nodes are refused rather than allocated.
+_MAX_MASK_TABLE_BYTES = 1 << 28
 
 
 def translate_placement(placement: Placement, offset) -> Placement:
@@ -129,7 +147,9 @@ class AutomorphismGroup:
     Every image is computed on coordinate *matrices*: a point-group table
     of shape ``(d!·2^d, k^d, d)`` is built once, and each query broadcasts
     the selected rows against all translation offsets — no per-element
-    Python objects.
+    Python objects.  :meth:`canonicity` and :meth:`orbit_size` instead
+    OR together rows of a translation bit table built on first use, one
+    image mask per group element, and never sort an image.
 
     Point-group elements are applied as ``reflect(permute(x))`` and are
     indexed by :attr:`point_descs` ``(perm, reflection_mask)`` pairs;
@@ -197,31 +217,79 @@ class AutomorphismGroup:
         """The lexicographically smallest sorted image of the node set."""
         return _lexmin_row(self.sorted_images(node_ids, translations_only))
 
+    # ------------------------------------------------------ image masks
+
+    @functools.cached_property
+    def _translation_bits(self) -> np.ndarray:
+        """``(k^d, k^d, W)`` uint64 table; row ``x`` column ``t`` holds
+        the mask bit of node ``x + t`` (``W = ⌈k^d/64⌉`` words, word 0
+        most significant, node ``y`` at bit ``k^d-1-y``).
+
+        Stored node-major so a query gathers whole contiguous rows.
+        Built on first use: ``O(k^{2d}·W)`` bytes, 10 KB at
+        :math:`T_6^2`; a table beyond ``_MAX_MASK_TABLE_BYTES`` raises
+        :class:`~repro.errors.InvalidParameterError`.
+        """
+        n = self.num_translations
+        words = -(-n // 64)
+        nbytes = n * n * words * 8
+        if nbytes > _MAX_MASK_TABLE_BYTES:
+            raise InvalidParameterError(
+                f"bitmask canonicity on T_{self.torus.k}^{self.torus.d} "
+                f"needs a {nbytes}-byte translation table, beyond the "
+                f"{_MAX_MASK_TABLE_BYTES}-byte limit"
+            )
+        shifted = np.mod(
+            self._offsets[:, None, :] + self._offsets[None, :, :],
+            self.torus.k,
+        ) @ self._strides  # [x, t] -> id of node x + t
+        position = n - 1 - shifted
+        table = np.zeros((n, n, words), dtype=np.uint64)
+        x, t = np.indices((n, n))
+        table[x, t, words - 1 - position // 64] = np.left_shift(
+            np.uint64(1), (position % 64).astype(np.uint64)
+        )
+        return table
+
+    def _image_masks(self, node_ids) -> np.ndarray:
+        """``(order, W)`` masks of every group image of the node set.
+
+        Row 0 is the identity (identity point row, zero translation), so
+        it is the set's own mask.  Order of ``node_ids`` is irrelevant.
+        """
+        ids = np.asarray(node_ids, dtype=np.int64)
+        # (point_order, m, k^d, W) -> OR over the set's m nodes
+        masks = np.bitwise_or.reduce(
+            self._translation_bits[self.point_ids[:, ids]], axis=1
+        )
+        return masks.reshape(self.order, -1)
+
     def canonicity(self, node_ids) -> tuple[bool, int]:
-        """Whether the sorted node set is its orbit's canonical (lex-min)
+        """Whether the node set is its orbit's canonical (lex-min sorted)
         representative, and the order of its stabilizer.
 
-        Returns ``(False, 0)`` as soon as a strictly smaller image is
-        found; otherwise ``(True, |Stab|)`` where ``|Stab|`` counts the
-        group elements (with multiplicity in the ``k == 2`` degenerate
-        case) that fix the set, so ``order // |Stab|`` is the exact orbit
-        size.
+        Tested on image bitmasks (see the module docstring): the set is
+        canonical iff its own mask is the largest image mask, compared
+        word by word from the most significant.  Returns ``(False, 0)``
+        as soon as a larger mask is found; otherwise ``(True, |Stab|)``
+        where ``|Stab|`` counts the group elements (with multiplicity in
+        the ``k == 2`` degenerate case) that fix the set, so
+        ``order // |Stab|`` is the exact orbit size.  ``node_ids`` need
+        not be sorted.
         """
-        ids = np.sort(np.asarray(node_ids, dtype=np.int64))
-        alive = self.sorted_images(ids)
-        for col in range(ids.size):
-            values = alive[:, col]
-            smallest = values.min()
-            if smallest < ids[col]:
+        alive = self._image_masks(node_ids)
+        own = alive[0]
+        for word in range(alive.shape[1]):
+            values = alive[:, word]
+            if values.max() > own[word]:
                 return False, 0
-            alive = alive[values == smallest]
+            alive = alive[values == own[word]]
         return True, int(alive.shape[0])
 
     def orbit_size(self, node_ids) -> int:
         """Exact orbit size of the node set, via orbit–stabilizer."""
-        ids = np.sort(np.asarray(node_ids, dtype=np.int64))
-        images = self.sorted_images(ids)
-        stabilizer = int(np.count_nonzero(np.all(images == ids, axis=1)))
+        masks = self._image_masks(node_ids)
+        stabilizer = int(np.count_nonzero(np.all(masks == masks[0], axis=1)))
         return self.order // stabilizer
 
 

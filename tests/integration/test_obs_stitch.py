@@ -66,7 +66,8 @@ class TestStitchedCertify:
         roots = build_forest(stitched)
         assert all(not root.orphan for root in roots)
 
-        # the worker files recorded the task bodies...
+        # the worker files recorded the task bodies, each wrapping the
+        # search.subtree span of the root it searched...
         body_spans = [
             r
             for path in worker_files
@@ -74,7 +75,16 @@ class TestStitchedCertify:
             if r.get("kind") == "span"
         ]
         assert body_spans
-        assert {r["name"] for r in body_spans} == {"exec.task.body"}
+        assert {r["name"] for r in body_spans} == {
+            "exec.task.body",
+            "search.subtree",
+        }
+        body_ids = {r["id"] for r in body_spans if r["name"] == "exec.task.body"}
+        assert all(
+            r["parent"] in body_ids
+            for r in body_spans
+            if r["name"] == "search.subtree"
+        )
         # ...and stitching splices every body into its dispatching
         # exec.task, so none survive in the merged trace
         names = {r["name"] for r in stitched if r.get("kind") == "span"}

@@ -9,6 +9,8 @@ import pytest
 from repro.bisection import separator
 from repro.errors import InvalidParameterError, SearchError
 from repro.load.odr_loads import odr_edge_loads
+from repro.obs import Tracer, using_tracer
+from repro.obs.tracer import NullTracer
 from repro.placements import exact_search
 from repro.placements.catalog import global_minimum_emax
 from repro.placements.exact_search import exact_global_minimum
@@ -274,6 +276,76 @@ class TestOneCanonicityTestPerNode:
             context.run_root((1, 2))
 
 
+class TestSubtreeSpans:
+    """A traced search opens one ``search.subtree`` span per subtree root."""
+
+    @staticmethod
+    def _traced(torus, size, **kwargs):
+        tracer = Tracer()
+        with using_tracer(tracer):
+            result = exact_global_minimum(torus, size, **kwargs)
+        return result, tracer.finished
+
+    @staticmethod
+    def _ancestor_names(span, spans):
+        by_id = {s.span_id: s for s in spans}
+        names = []
+        parent = by_id.get(span.parent_id)
+        while parent is not None:
+            names.append(parent.name)
+            parent = by_id.get(parent.parent_id)
+        return names
+
+    def test_serial_subtree_spans_nest_under_certify(self):
+        torus = Torus(5, 2)
+        untraced = exact_global_minimum(torus, 5)
+        result, spans = self._traced(torus, 5)
+        subtrees = [s for s in spans if s.name == "search.subtree"]
+        assert len(subtrees) >= 2
+        for span in subtrees:
+            assert "search.certify" in self._ancestor_names(span, spans)
+            # one span per prefix at the split depth, never nested
+            assert "search.subtree" not in self._ancestor_names(span, spans)
+            assert span.attributes["root"].count(".") == 2
+        assert result.counters == untraced.counters
+        assert (
+            sum(s.attributes["leaf_orbits"] for s in subtrees)
+            == result.counters.leaf_orbits
+        )
+
+    def test_sharded_run_opens_one_span_per_root(self, tmp_path):
+        torus = Torus(5, 2)
+        roots = _subtree_roots(torus, 5)
+        serial = exact_global_minimum(torus, 5)
+        result, spans = self._traced(
+            torus, 5, checkpoint=str(tmp_path / "run.jsonl")
+        )
+        subtrees = [s for s in spans if s.name == "search.subtree"]
+        assert sorted(s.attributes["root"] for s in subtrees) == sorted(
+            exact_search._root_task_id(root) for root in roots
+        )
+        for span in subtrees:
+            assert "search.certify" in self._ancestor_names(span, spans)
+        assert result.minimum_emax == serial.minimum_emax
+        assert result.num_optimal == serial.num_optimal
+        assert (
+            sum(s.attributes["leaf_orbits"] for s in subtrees)
+            == result.counters.leaf_orbits
+        )
+
+    def test_untraced_search_opens_no_span(self, monkeypatch):
+        opened = []
+        original = NullTracer.span
+
+        def span(self, name, **attributes):
+            opened.append(name)
+            return original(self, name, **attributes)
+
+        monkeypatch.setattr(NullTracer, "span", span)
+        exact_global_minimum(Torus(5, 2), 5)
+        assert "search.subtree" not in opened
+
+
 class TestParallel:
     def test_parallel_matches_serial_full(self, full_4_2):
         result = exact_global_minimum(Torus(4, 2), 4, mode="full", processes=2)
@@ -303,6 +375,31 @@ class TestValidation:
     def test_space_too_large(self):
         with pytest.raises(InvalidParameterError):
             exact_global_minimum(Torus(8, 2), 20)
+
+    def test_cap_applies_to_orbit_estimate(self):
+        # C(64, 8) ≈ 4.4e9 raw placements exceed the cap, but only about
+        # 4.4e9 / 512 ≈ 8.6e6 orbits do not: the search is admitted.  An
+        # incumbent of 0 drops every variant at depth 2, so the search
+        # ends at once with the "not achievable" error.
+        torus = Torus(8, 2)
+        assert math.comb(64, 8) > exact_search.MAX_EXACT_SEARCH
+        with pytest.raises(SearchError, match="no placement achieved"):
+            exact_global_minimum(torus, 8, initial_upper_bound=0)
+
+    def test_torus_beyond_mask_table_limit_is_refused(self):
+        # 8.4e6 placements form only 43 orbits, but the canonicity test
+        # would need an 8.6 GB table on T_16^3
+        with pytest.raises(InvalidParameterError, match="translation table"):
+            exact_global_minimum(Torus(16, 3), 2)
+
+    def test_orbit_estimate_above_cap_names_both_counts(self):
+        space = math.comb(64, 12)
+        orbits = -(-space // 512)
+        assert orbits > exact_search.MAX_EXACT_SEARCH
+        with pytest.raises(InvalidParameterError) as info:
+            exact_global_minimum(Torus(8, 2), 12)
+        assert str(space) in str(info.value)
+        assert str(orbits) in str(info.value)
 
     def test_tiny_size_works(self):
         # size 1: every node is one orbit of the transitive group

@@ -179,6 +179,14 @@ class TestAutomorphismGroup:
         torus = Torus(4, 2)
         assert automorphism_group(torus) is automorphism_group(Torus(4, 2))
 
+    def test_oversized_mask_table_is_refused(self):
+        # T_16^3 would need a 4096·4096·64-word (8.6 GB) translation table
+        group = automorphism_group(Torus(16, 3))
+        with pytest.raises(InvalidParameterError, match="translation table"):
+            group.canonicity([0, 1])
+        # the sorted-image oracle still answers on the same torus
+        assert group.canonical_ids([1, 0]).tolist() == [0, 1]
+
 
 class TestVectorizedCanonicalForm:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
